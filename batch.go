@@ -27,6 +27,9 @@ type BatchResult struct {
 // masks, so N queries cost ceil(totalSets/capacity) scans instead of N.
 func (e *Engine) SearchBatch(queries []Query) (BatchResult, error) {
 	var res BatchResult
+	if e.router != nil {
+		return res, ErrSharded
+	}
 	if len(queries) == 0 {
 		return res, fmt.Errorf("mithrilog: empty batch")
 	}

@@ -106,27 +106,31 @@ func TestSearchRegexFacade(t *testing.T) {
 }
 
 func TestSearchBreakdownExposed(t *testing.T) {
-	eng := Open(Config{})
-	if err := eng.IngestLines(sampleLines(2000)); err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Search(`RAS AND KERNEL`, SearchOptions{NoIndex: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := res.Breakdown
-	if b.Stream <= 0 || b.Filter <= 0 {
-		t.Fatalf("breakdown missing: %+v", b)
-	}
-	// SimElapsed = index + max(stream, filter) + return.
-	bound := b.Index + b.Return
-	if b.Stream > b.Filter {
-		bound += b.Stream
-	} else {
-		bound += b.Filter
-	}
-	if res.SimElapsed != bound {
-		t.Fatalf("breakdown inconsistent: %v != %v", res.SimElapsed, bound)
+	// A routed result carries the breakdown of the shard that bound the
+	// query, so the identity holds on a fleet exactly as on one engine.
+	for _, cfg := range []Config{{}, {Shards: 4}} {
+		eng := Open(cfg)
+		if err := eng.IngestLines(sampleLines(2000)); err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Search(`RAS AND KERNEL`, SearchOptions{NoIndex: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := res.Breakdown
+		if b.Stream <= 0 || b.Filter <= 0 {
+			t.Fatalf("shards=%d: breakdown missing: %+v", cfg.Shards, b)
+		}
+		// SimElapsed = index + max(stream, filter) + return.
+		bound := b.Index + b.Return
+		if b.Stream > b.Filter {
+			bound += b.Stream
+		} else {
+			bound += b.Filter
+		}
+		if res.SimElapsed != bound {
+			t.Fatalf("shards=%d: breakdown inconsistent: %v != %v", cfg.Shards, res.SimElapsed, bound)
+		}
 	}
 }
 

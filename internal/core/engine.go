@@ -503,21 +503,14 @@ func (e *Engine) Export(w io.Writer) (ExportResult, error) {
 	start := time.Now()
 	st := e.getScanState()
 	defer e.putScanState(st)
-	var rawBuf []byte
-	for _, pid := range e.dataPages {
-		page, err := e.dev.View(storage.Internal, pid)
-		if err != nil {
-			return res, err
-		}
-		rawBuf, err = st.decs[0].Decompress(rawBuf[:0], page)
-		if err != nil {
-			return res, err
-		}
-		n, err := w.Write(rawBuf)
+	// The scan datapath with the sink in the evaluator's place.
+	forward := func(_ int, text []byte, _ *filter.TokenizedBlock) (_, _ [][]byte, err error) {
+		n, err := w.Write(text)
 		res.RawBytes += uint64(n)
-		if err != nil {
-			return res, err
-		}
+		return nil, nil, err
+	}
+	if _, err := e.scanPages(nil, st, e.dataPages, false, scanStrategy{link: storage.Internal, workers: 1, eval: forward}); err != nil {
+		return res, err
 	}
 	internal := e.dev.TransferTime(storage.Internal, e.compBytes)
 	external := e.dev.TransferTime(storage.External, res.RawBytes)

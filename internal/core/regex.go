@@ -1,11 +1,9 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"time"
 
-	"mithrilog/internal/filter"
 	"mithrilog/internal/hwsim"
 	"mithrilog/internal/query"
 	"mithrilog/internal/rex"
@@ -136,13 +134,42 @@ func (e *Engine) SearchRegexOpts(pattern string, opts RegexOptions) (RegexResult
 	res.TotalPages = len(e.dataPages)
 	st := e.getScanState()
 	defer e.putScanState(st)
+	candidates := e.dataPages
+	var strategy scanStrategy
+	lineFilter := false
 	if usable {
-		err = e.regexPrefiltered(st, re, fq, opts, &res)
+		// The index-accelerated datapath: plan the factor query into
+		// candidate pages, stream them through the decompress + tokenize +
+		// hash-filter pipeline (sharing the decompressed-page cache with
+		// token queries, so candidate pages warm the LRU), and NFA-verify
+		// only the surviving lines. If the factor query cannot be compiled
+		// into the cuckoo tables the token filter is skipped and the NFA
+		// verifies every candidate line — page-level pruning still applies.
+		res.Prefiltered = true
+		if candidates, res.IndexTime, _, err = e.plan(fq, SearchOptions{}); err != nil {
+			return res, err
+		}
+		survivors := allLines()
+		if lineFilter = st.pipes[0].Configure(fq) == nil; lineFilter {
+			survivors = cuckooEval(st)
+		}
+		strategy = scanStrategy{link: storage.Internal, cache: e.cache, workers: 1, returnVerified: true, eval: verifyEval(survivors, re.Match)}
 	} else {
-		err = e.regexFullScan(st, re, opts, &res)
+		// Without usable factors every page crosses the external link (§3
+		// raw-page forwarding) and the host NFA sees every line.
+		strategy = scanStrategy{link: storage.External, cache: e.cache, workers: 1, eval: verifyEval(allLines(), re.Match)}
 	}
+	res.CandidatePages = len(candidates)
+	tot, err := e.scanPages(opts.Ctx, st, candidates, opts.CollectLines, strategy)
 	if err != nil {
 		return res, err
+	}
+	res.Matches, res.Lines, res.CachedPages, res.VerifiedLines = tot.matches, tot.lines, tot.cachedPages, tot.verified
+	res.ScannedRawBytes, res.ScannedCompBytes, res.ReturnedBytes = tot.rawBytes, tot.compBytes, tot.retBytes
+	if lineFilter {
+		if cycles := st.pipes[0].Stats().Cycles; cycles > 0 {
+			res.FilterTime = hwsim.CyclesToDuration(cycles, e.cfg.System.ClockHz)
+		}
 	}
 	e.simulateRegexElapsed(&res)
 	res.WallElapsed = time.Since(start)
@@ -162,180 +189,6 @@ func factorQuery(f rex.Factors) query.Query {
 		sets = append(sets, query.Intersection{Terms: terms})
 	}
 	return query.New(sets...)
-}
-
-// regexPrefiltered runs the index-accelerated datapath: plan the factor
-// query into candidate pages, stream candidates through the decompress +
-// tokenize + hash-filter pipeline (sharing the decompressed-page cache
-// with token queries, so candidate pages warm the LRU), and NFA-verify
-// only the surviving lines. If the factor query cannot be compiled into
-// the cuckoo tables the token filter is skipped and the NFA verifies
-// every candidate line — page-level pruning still applies.
-func (e *Engine) regexPrefiltered(st *scanState, re *rex.Regexp, fq query.Query, opts RegexOptions, res *RegexResult) error {
-	res.Prefiltered = true
-	candidates, indexTime, _, err := e.plan(fq, SearchOptions{Ctx: opts.Ctx})
-	if err != nil {
-		return err
-	}
-	res.CandidatePages = len(candidates)
-	res.IndexTime = indexTime
-	pipe := st.pipes[0]
-	dec := st.decs[0]
-	pipe.ResetStats()
-	lineFilter := pipe.Configure(fq) == nil
-	var rawBuf []byte
-	var lineBuf [][]byte
-	for _, pid := range candidates {
-		if err := ctxErr(opts.Ctx); err != nil {
-			return err
-		}
-		var tb *filter.TokenizedBlock
-		if e.cache != nil {
-			if cached, ok := e.cache.Get(pid); ok {
-				tb = cached
-				res.CachedPages++
-			}
-		}
-		if tb == nil {
-			page, err := e.dev.View(storage.Internal, pid)
-			if err != nil {
-				return err
-			}
-			if e.cache != nil {
-				// Decode into a fresh buffer the cache will own; a fault
-				// above already returned, so only intact pages enter.
-				fresh, derr := dec.Decompress(nil, page)
-				if derr != nil {
-					return derr
-				}
-				tb = pipe.Tokenize(fresh)
-				e.cache.Put(pid, tb)
-			} else {
-				rawBuf, err = dec.Decompress(rawBuf[:0], page)
-				if err != nil {
-					return err
-				}
-				if lineFilter {
-					tb = pipe.Tokenize(rawBuf)
-				}
-			}
-		}
-		var survivors [][]byte
-		var rawLen int
-		switch {
-		case tb != nil && lineFilter:
-			survivors, err = pipe.FilterTokenized(tb)
-			if err != nil {
-				return err
-			}
-			rawLen = len(tb.Block)
-		case tb != nil:
-			lineBuf = splitLines(tb.Block, lineBuf)
-			survivors = lineBuf
-			rawLen = len(tb.Block)
-		default:
-			lineBuf = splitLines(rawBuf, lineBuf)
-			survivors = lineBuf
-			rawLen = len(rawBuf)
-		}
-		res.ScannedRawBytes += uint64(rawLen)
-		for _, line := range survivors {
-			res.VerifiedLines++
-			res.ReturnedBytes += uint64(len(line) + 1)
-			if re.Match(line) {
-				res.Matches++
-				if opts.CollectLines {
-					res.Lines = append(res.Lines, append([]byte(nil), line...))
-				}
-			}
-		}
-	}
-	// Only cache misses cross the internal link as compressed pages.
-	res.ScannedCompBytes = uint64(len(candidates)-res.CachedPages) * storage.PageSize
-	if lineFilter {
-		pst := pipe.Stats()
-		if pst.Cycles > 0 {
-			res.FilterTime = hwsim.CyclesToDuration(pst.Cycles, e.cfg.System.ClockHz)
-		}
-	}
-	return nil
-}
-
-// regexFullScan is the fallback when the pattern has no usable factors:
-// every page is decompressed and every line NFA-matched. The path is
-// cache-aware — pages resident in the decompressed-page cache skip the
-// device read and the decode, and misses populate the cache (tokenized,
-// after a successful decode only, so faults never poison it) exactly like
-// the accelerated token path.
-func (e *Engine) regexFullScan(st *scanState, re *rex.Regexp, opts RegexOptions, res *RegexResult) error {
-	res.CandidatePages = res.TotalPages
-	pipe := st.pipes[0]
-	dec := st.decs[0]
-	buf := make([]byte, storage.PageSize)
-	var rawBuf []byte
-	var lines [][]byte
-	for _, pid := range e.dataPages {
-		if err := ctxErr(opts.Ctx); err != nil {
-			return err
-		}
-		var text []byte
-		if e.cache != nil {
-			if tb, ok := e.cache.Get(pid); ok {
-				text = tb.Block
-				res.CachedPages++
-			}
-		}
-		if text == nil {
-			// Raw (compressed) pages cross the external link.
-			if err := e.dev.Read(storage.External, pid, buf); err != nil {
-				return err
-			}
-			if e.cache != nil {
-				fresh, err := dec.Decompress(nil, buf)
-				if err != nil {
-					return err
-				}
-				e.cache.Put(pid, pipe.Tokenize(fresh))
-				text = fresh
-			} else {
-				var err error
-				rawBuf, err = dec.Decompress(rawBuf[:0], buf)
-				if err != nil {
-					return err
-				}
-				text = rawBuf
-			}
-		}
-		res.ScannedRawBytes += uint64(len(text))
-		lines = splitLines(text, lines)
-		for _, line := range lines {
-			res.VerifiedLines++
-			if re.Match(line) {
-				res.Matches++
-				res.ReturnedBytes += uint64(len(line) + 1)
-				if opts.CollectLines {
-					res.Lines = append(res.Lines, append([]byte(nil), line...))
-				}
-			}
-		}
-	}
-	res.ScannedCompBytes = uint64(len(e.dataPages)) * storage.PageSize
-	return nil
-}
-
-// splitLines appends text's newline-separated lines to dst[:0] (the lines
-// alias text).
-func splitLines(text []byte, dst [][]byte) [][]byte {
-	dst = dst[:0]
-	for len(text) > 0 {
-		nl := bytes.IndexByte(text, '\n')
-		if nl < 0 {
-			return append(dst, text)
-		}
-		dst = append(dst, text[:nl])
-		text = text[nl+1:]
-	}
-	return dst
 }
 
 // simulateRegexElapsed derives the modeled query time for each path; see

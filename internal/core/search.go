@@ -1,9 +1,7 @@
 package core
 
 import (
-	"bytes"
 	"context"
-	"sync"
 	"time"
 
 	"mithrilog/internal/hwsim"
@@ -189,14 +187,26 @@ func (e *Engine) Search(q query.Query, opts SearchOptions) (SearchResult, error)
 
 	scanStart := time.Now()
 	scanSpan := sp.StartChild("page scan")
+	// Offloaded, pages are striped across the near-storage pipelines, each
+	// crossing the internal link to be decompressed and filtered in place.
+	// On fallback they cross the external link and the host evaluates the
+	// reference matcher.
+	var strategy scanStrategy
 	if offloaded {
-		err = e.searchAccelerated(st, candidates, opts, &res)
+		strategy = scanStrategy{link: storage.Internal, cache: e.cache, workers: len(st.pipes), eval: cuckooEval(st)}
 	} else {
-		err = e.searchSoftware(st, q, candidates, opts, &res)
+		reference := func(line []byte) bool { return q.Match(string(line)) }
+		strategy = scanStrategy{link: storage.External, workers: 1, eval: verifyEval(allLines(), reference)}
 	}
+	tot, err := e.scanPages(opts.Ctx, st, candidates, opts.CollectLines, strategy)
 	if err != nil {
 		scanSpan.End()
 		return res, err
+	}
+	res.Matches, res.Lines, res.CachedPages = tot.matches, tot.lines, tot.cachedPages
+	res.ScannedRawBytes, res.ScannedCompBytes, res.ReturnedBytes = tot.rawBytes, tot.compBytes, tot.retBytes
+	if offloaded {
+		pipelineCycles(st, &res)
 	}
 	scanSpan.SetAttrInt("pages", int64(len(candidates)))
 	scanSpan.SetAttrInt("scannedRawBytes", int64(res.ScannedRawBytes))
@@ -353,179 +363,19 @@ func intersect2Pages(a, b []storage.PageID) []storage.PageID {
 	return out
 }
 
-// searchAccelerated streams candidate pages through the near-storage
-// pipelines: pages are striped across pipelines, each page crossing the
-// internal link, decompressed, and filtered in place. Pages resident in
-// the decompressed-page cache skip the flash read, the decompression, and
-// the tokenization — the cache holds the tokenizer stage's output, so a
-// hit re-enters the pipeline at the hash filters. A cache miss decodes
-// and tokenizes into fresh buffers that the cache takes over, so
-// concurrent queries can share them.
-func (e *Engine) searchAccelerated(st *scanState, candidates []storage.PageID, opts SearchOptions, res *SearchResult) error {
-	nPipes := len(st.pipes)
-	type pageOut struct {
-		matches  int
-		kept     [][]byte
-		raw      uint64
-		retBytes uint64
-		cached   bool
-	}
-	outs := make([]pageOut, len(candidates))
-	var wg sync.WaitGroup
-	errCh := make(chan error, nPipes)
-	for pi := 0; pi < nPipes; pi++ {
-		wg.Add(1)
-		go func(pi int) {
-			defer wg.Done()
-			pipe := st.pipes[pi]
-			dec := st.decs[pi]
-			pipe.ResetStats()
-			dec.ResetStats()
-			var rawBuf []byte
-			for ci := pi; ci < len(candidates); ci += nPipes {
-				if err := ctxErr(opts.Ctx); err != nil {
-					errCh <- err
-					return
-				}
-				out := &outs[ci]
-				var kept [][]byte
-				var rawLen int
-				if e.cache == nil {
-					// Uncached engine: stream-decompress into the reusable
-					// per-worker buffer and filter in place.
-					page, err := e.dev.View(storage.Internal, candidates[ci])
-					if err != nil {
-						errCh <- err
-						return
-					}
-					rawBuf, err = dec.Decompress(rawBuf[:0], page)
-					if err != nil {
-						errCh <- err
-						return
-					}
-					kept, err = pipe.FilterBlock(rawBuf)
-					if err != nil {
-						errCh <- err
-						return
-					}
-					rawLen = len(rawBuf)
-				} else {
-					tb, ok := e.cache.Get(candidates[ci])
-					if ok {
-						out.cached = true
-					} else {
-						page, err := e.dev.View(storage.Internal, candidates[ci])
-						if err != nil {
-							errCh <- err
-							return
-						}
-						// Decode into a fresh buffer the cache will own;
-						// the fault above already returned, so only intact
-						// pages ever enter the cache — tokenized, so hits
-						// re-enter the pipeline at the hash filters.
-						fresh, err := dec.Decompress(nil, page)
-						if err != nil {
-							errCh <- err
-							return
-						}
-						tb = pipe.Tokenize(fresh)
-						e.cache.Put(candidates[ci], tb)
-					}
-					var err error
-					kept, err = pipe.FilterTokenized(tb)
-					if err != nil {
-						errCh <- err
-						return
-					}
-					rawLen = len(tb.Block)
-				}
-				out.matches = len(kept)
-				out.raw = uint64(rawLen)
-				for _, l := range kept {
-					out.retBytes += uint64(len(l) + 1)
-					if opts.CollectLines {
-						out.kept = append(out.kept, append([]byte(nil), l...))
-					}
-				}
-			}
-		}(pi)
-	}
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		return err
-	default:
-	}
-	// Aggregate in page order.
-	for i := range outs {
-		o := &outs[i]
-		res.Matches += o.matches
-		res.ScannedRawBytes += o.raw
-		res.ReturnedBytes += o.retBytes
-		if o.cached {
-			res.CachedPages++
-		}
-		if opts.CollectLines {
-			res.Lines = append(res.Lines, o.kept...)
-		}
-	}
-	// Only cache misses cross the internal link as compressed pages.
-	res.ScannedCompBytes = uint64(len(candidates)-res.CachedPages) * storage.PageSize
-	var maxCycles uint64
-	res.PipelineCycles = make([]uint64, nPipes)
-	res.PipelineUtilization = make([]float64, nPipes)
+// pipelineCycles reads back each pipeline's busy cycles after an
+// accelerated scan; the busiest pipeline binds the simulated filter time.
+func pipelineCycles(st *scanState, res *SearchResult) {
+	res.PipelineCycles = make([]uint64, len(st.pipes))
+	res.PipelineUtilization = make([]float64, len(st.pipes))
 	for i, p := range st.pipes {
 		pst := p.Stats()
 		res.PipelineCycles[i] = pst.Cycles
 		res.PipelineUtilization[i] = pst.Utilization()
-		if pst.Cycles > maxCycles {
-			maxCycles = pst.Cycles
+		if pst.Cycles > res.MaxPipelineCycles {
+			res.MaxPipelineCycles = pst.Cycles
 		}
 	}
-	res.MaxPipelineCycles = maxCycles
-	return nil
-}
-
-// searchSoftware is the host-side fallback when the accelerator cannot be
-// configured: pages cross the external link and the host evaluates the
-// reference matcher. The decompressed-page cache is device-side DRAM, so
-// this path never consults it.
-func (e *Engine) searchSoftware(st *scanState, q query.Query, candidates []storage.PageID, opts SearchOptions, res *SearchResult) error {
-	var rawBuf []byte
-	buf := make([]byte, storage.PageSize)
-	for _, pid := range candidates {
-		if err := ctxErr(opts.Ctx); err != nil {
-			return err
-		}
-		if err := e.dev.Read(storage.External, pid, buf); err != nil {
-			return err
-		}
-		var err error
-		rawBuf, err = st.decs[0].Decompress(rawBuf[:0], buf)
-		if err != nil {
-			return err
-		}
-		res.ScannedRawBytes += uint64(len(rawBuf))
-		data := rawBuf
-		for len(data) > 0 {
-			nl := bytes.IndexByte(data, '\n')
-			var line []byte
-			if nl < 0 {
-				line, data = data, nil
-			} else {
-				line, data = data[:nl], data[nl+1:]
-			}
-			if q.Match(string(line)) {
-				res.Matches++
-				res.ReturnedBytes += uint64(len(line) + 1)
-				if opts.CollectLines {
-					res.Lines = append(res.Lines, append([]byte(nil), line...))
-				}
-			}
-		}
-	}
-	res.ScannedCompBytes = uint64(len(candidates)) * storage.PageSize
-	return nil
 }
 
 // simulateElapsed derives the modeled query time: index traversal, then

@@ -120,22 +120,12 @@ func (t *Tagger) Run(collectTags bool) (TagResult, error) {
 		if err := pipe.Configure(group); err != nil {
 			return res, fmt.Errorf("core: tagging pass %d: %w", gi, err)
 		}
-		pipe.ResetStats()
-		dec := scan.decs[0]
-		var rawBuf []byte
 		lineNo := 0
-		for _, pid := range e.dataPages {
-			page, err := e.dev.View(storage.Internal, pid)
-			if err != nil {
-				return res, err
-			}
-			rawBuf, err = dec.Decompress(rawBuf[:0], page)
-			if err != nil {
-				return res, err
-			}
-			masks, err = pipe.TagBlock(masks[:0], rawBuf)
-			if err != nil {
-				return res, err
+		// One pass of the scan datapath with the per-set match masks in
+		// the evaluator's place.
+		tagPage := func(_ int, text []byte, _ *filter.TokenizedBlock) (_, _ [][]byte, err error) {
+			if masks, err = pipe.TagBlock(masks[:0], text); err != nil {
+				return nil, nil, err
 			}
 			for _, mask := range masks {
 				if gi == 0 {
@@ -158,6 +148,10 @@ func (t *Tagger) Run(collectTags bool) (TagResult, error) {
 				}
 				lineNo++
 			}
+			return nil, nil, nil
+		}
+		if _, err := e.scanPages(nil, scan, e.dataPages, false, scanStrategy{link: storage.Internal, workers: 1, eval: tagPage}); err != nil {
+			return res, err
 		}
 		// Simulated pass time: stream all compressed pages at internal
 		// bandwidth, bounded below by the pipelines' cycle time (the one

@@ -321,14 +321,9 @@ type ShardError struct {
 	Err   error
 }
 
-// Result is a merged scatter-gather search result.
-type Result struct {
-	// Matches and Lines merge the successful shards. Lines are in
-	// canonical (lexicographic) order so the merged bytes are identical
-	// regardless of shard count or gather arrival order.
-	Matches int
-	Lines   [][]byte
-
+// Gather summarizes one scatter: how wide it went and which shards did
+// not answer. Both result kinds carry it.
+type Gather struct {
 	// Partial reports that at least one queried shard failed; Failed
 	// lists them. A query only errors when every shard fails.
 	Partial bool
@@ -338,21 +333,21 @@ type Result struct {
 	// EmptyShards counts shards with nothing ingested (not failures).
 	ShardsQueried int
 	EmptyShards   int
+}
 
-	// Offloaded / UsedIndex report whether every successful shard ran the
-	// accelerator path / pruned with its index.
-	Offloaded bool
-	UsedIndex bool
-
-	// Page accounting summed over successful shards.
-	TotalPages, CandidatePages, CachedPages int
-
-	// SimElapsed is the simulated fleet time: shards scan in parallel, so
-	// the slowest shard binds. QueueTime is the worst shard's pipeline
-	// queue share. WallElapsed is measured host time for the scatter.
-	SimElapsed  time.Duration
-	QueueTime   time.Duration
-	WallElapsed time.Duration
+// Result is a merged scatter-gather search result: the fleet's view of
+// the answering shards' results, in the shape one engine reports, plus
+// the gather summary. Matches and the page counts sum. Lines are in
+// canonical (lexicographic) order so the merged bytes are identical
+// regardless of shard count or gather arrival order. Offloaded /
+// UsedIndex hold if they do on every answering shard. Shards scan in
+// parallel, so the slowest binds: SimElapsed and the four simulated
+// components it decomposes into are that shard's. QueueTime is the worst
+// shard's pipeline queue share, WallElapsed the host time of the scatter.
+// Fields not named here are not merged and stay zero.
+type Result struct {
+	core.SearchResult
+	Gather
 }
 
 // shardDeadline layers the per-shard timeout onto the caller's context.
@@ -375,27 +370,30 @@ func (r *Router) targets(tenant string) []int {
 	return out
 }
 
-// Search scatters q to the tenant's home shard (tenant != "") or every
-// shard (tenant == ""), gathers under per-shard deadlines, and merges.
-// Tenant quota rejections surface as ErrTenantQuota before any shard is
-// touched.
-func (r *Router) Search(ctx context.Context, tenant string, q query.Query, opts core.SearchOptions) (Result, error) {
+// scatter is the one scatter-gather both query kinds run: admit the query
+// against the tenant quota (ErrTenantQuota surfaces before any shard is
+// touched), run it on the tenant's home shard (tenant != "") or every
+// shard (tenant == "") under per-shard deadlines, and hand the answers to
+// fold in shard order (first marks the first). An empty shard is a valid
+// fleet state, not a failure; the query errors only when no shard
+// answered — ErrNothingIngested if all were empty, else the joined shard
+// errors. Scatter goroutines are joined before scatter returns.
+func scatter[R any](ctx context.Context, r *Router, tenant string, run func(context.Context, *sched.Scheduler) (R, error), fold func(first bool, res *R)) (Gather, error) {
 	if err := r.begin(); err != nil {
-		return Result{}, err
+		return Gather{}, err
 	}
 	defer r.active.Done()
 	release, err := r.limiter.Acquire(tenant)
 	if err != nil {
-		return Result{}, err
+		return Gather{}, err
 	}
 	defer release()
 	r.queries.Inc()
 
 	targets := r.targets(tenant)
 	r.shardQueries.Add(float64(len(targets)))
-	start := time.Now()
 	type shardOut struct {
-		res core.SearchResult
+		res R
 		err error
 	}
 	outs := make([]shardOut, len(targets))
@@ -406,159 +404,110 @@ func (r *Router) Search(ctx context.Context, tenant string, q query.Query, opts 
 			defer wg.Done()
 			sctx, cancel := r.shardDeadline(ctx)
 			defer cancel()
-			res, err := r.shards[si].sch.Search(sctx, q, opts)
+			res, err := run(sctx, r.shards[si].sch)
 			outs[slot] = shardOut{res: res, err: err}
 		}(slot, si)
 	}
 	wg.Wait()
 
-	res := Result{ShardsQueried: len(targets), Offloaded: true, UsedIndex: true}
+	g := Gather{ShardsQueried: len(targets)}
 	nOK := 0
 	var errs []error
-	for slot, o := range outs {
-		si := targets[slot]
+	for slot := range outs {
+		o, si := &outs[slot], targets[slot]
 		switch {
 		case o.err == nil:
+			fold(nOK == 0, &o.res)
 			nOK++
-			res.Matches += o.res.Matches
-			res.Lines = append(res.Lines, o.res.Lines...)
-			res.TotalPages += o.res.TotalPages
-			res.CandidatePages += o.res.CandidatePages
-			res.CachedPages += o.res.CachedPages
-			res.Offloaded = res.Offloaded && o.res.Offloaded
-			res.UsedIndex = res.UsedIndex && o.res.UsedIndex
-			if o.res.SimElapsed > res.SimElapsed {
-				res.SimElapsed = o.res.SimElapsed
-			}
-			if o.res.QueueTime > res.QueueTime {
-				res.QueueTime = o.res.QueueTime
-			}
 		case errors.Is(o.err, core.ErrNothingIngested):
-			// An empty shard is a valid fleet state, not a failure.
-			res.EmptyShards++
+			g.EmptyShards++
 		default:
-			res.Failed = append(res.Failed, ShardError{Shard: si, Err: o.err})
+			g.Failed = append(g.Failed, ShardError{Shard: si, Err: o.err})
 			r.shardErrors.WithLabelValues(strconv.Itoa(si)).Inc()
 			errs = append(errs, fmt.Errorf("shard %d: %w", si, o.err))
 		}
 	}
-	res.WallElapsed = time.Since(start)
-	if nOK == 0 && res.EmptyShards == len(targets) {
-		return Result{}, core.ErrNothingIngested
+	if nOK == 0 && g.EmptyShards == len(targets) {
+		return Gather{}, core.ErrNothingIngested
 	}
-	if nOK == 0 && res.EmptyShards == 0 {
-		return Result{}, errors.Join(errs...)
+	if nOK == 0 && g.EmptyShards == 0 {
+		return Gather{}, errors.Join(errs...)
 	}
-	if len(res.Failed) > 0 {
-		res.Partial = true
+	if len(g.Failed) > 0 {
+		g.Partial = true
 		r.partials.Inc()
 	}
-	if nOK == 0 {
-		res.Offloaded, res.UsedIndex = false, false
-	}
-	sortLines(res.Lines)
-	return res, nil
+	return g, nil
 }
 
-// RegexResult is a merged scatter-gather regex scan.
+// Search scatters q (see scatter for routing, quota, and partial-failure
+// semantics) and merges per the rules on Result.
+func (r *Router) Search(ctx context.Context, tenant string, q query.Query, opts core.SearchOptions) (Result, error) {
+	start := time.Now()
+	var m core.SearchResult
+	g, err := scatter(ctx, r, tenant,
+		func(ctx context.Context, s *sched.Scheduler) (core.SearchResult, error) {
+			return s.Search(ctx, q, opts)
+		},
+		func(first bool, s *core.SearchResult) {
+			m.Matches += s.Matches
+			m.Lines = append(m.Lines, s.Lines...)
+			m.TotalPages += s.TotalPages
+			m.CandidatePages += s.CandidatePages
+			m.CachedPages += s.CachedPages
+			m.Offloaded = (first || m.Offloaded) && s.Offloaded
+			m.UsedIndex = (first || m.UsedIndex) && s.UsedIndex
+			if s.SimElapsed > m.SimElapsed {
+				m.SimElapsed = s.SimElapsed
+				m.IndexTime, m.StreamTime, m.FilterTime, m.ReturnTime = s.IndexTime, s.StreamTime, s.FilterTime, s.ReturnTime
+			}
+			m.QueueTime = max(m.QueueTime, s.QueueTime)
+		})
+	if err != nil {
+		return Result{}, err
+	}
+	sortLines(m.Lines)
+	m.WallElapsed = time.Since(start)
+	return Result{SearchResult: m, Gather: g}, nil
+}
+
+// RegexResult is a merged scatter-gather regex scan, merged like Result.
+// Shards share the pattern, so they agree on Prefiltered unless a shard
+// answered nothing.
 type RegexResult struct {
-	Matches int
-	Lines   [][]byte
-	// Prefiltered reports whether every answering shard ran the
-	// literal-factor prefilter (shards share the pattern, so they agree
-	// unless a shard answered nothing).
-	Prefiltered bool
-	// TotalPages/CandidatePages/CachedPages sum prefilter effectiveness
-	// over the answering shards.
-	TotalPages, CandidatePages, CachedPages int
-	Partial                                 bool
-	Failed                                  []ShardError
-	ShardsQueried                           int
-	EmptyShards                             int
-	QueueTime                               time.Duration
-	SimElapsed                              time.Duration
-	WallElapsed                             time.Duration
+	core.RegexResult
+	Gather
 }
 
 // SearchRegex scatters a regex scan with the same routing, quota, and
 // partial-failure semantics as Search.
 func (r *Router) SearchRegex(ctx context.Context, tenant, pattern string, opts core.RegexOptions) (RegexResult, error) {
-	if err := r.begin(); err != nil {
-		return RegexResult{}, err
-	}
-	defer r.active.Done()
-	release, err := r.limiter.Acquire(tenant)
+	start := time.Now()
+	var m core.RegexResult
+	g, err := scatter(ctx, r, tenant,
+		func(ctx context.Context, s *sched.Scheduler) (core.RegexResult, error) {
+			return s.SearchRegex(ctx, pattern, opts)
+		},
+		func(first bool, s *core.RegexResult) {
+			m.Matches += s.Matches
+			m.Lines = append(m.Lines, s.Lines...)
+			m.TotalPages += s.TotalPages
+			m.CandidatePages += s.CandidatePages
+			m.CachedPages += s.CachedPages
+			m.Prefiltered = (first || m.Prefiltered) && s.Prefiltered
+			if s.SimElapsed > m.SimElapsed {
+				m.SimElapsed = s.SimElapsed
+				m.IndexTime, m.StreamTime, m.FilterTime = s.IndexTime, s.StreamTime, s.FilterTime
+				m.VerifyTime, m.ReturnTime = s.VerifyTime, s.ReturnTime
+			}
+			m.QueueTime = max(m.QueueTime, s.QueueTime)
+		})
 	if err != nil {
 		return RegexResult{}, err
 	}
-	defer release()
-	r.queries.Inc()
-
-	targets := r.targets(tenant)
-	r.shardQueries.Add(float64(len(targets)))
-	start := time.Now()
-	type shardOut struct {
-		res core.RegexResult
-		err error
-	}
-	outs := make([]shardOut, len(targets))
-	var wg sync.WaitGroup
-	for slot, si := range targets {
-		wg.Add(1)
-		go func(slot, si int) {
-			defer wg.Done()
-			sctx, cancel := r.shardDeadline(ctx)
-			defer cancel()
-			res, err := r.shards[si].sch.SearchRegex(sctx, pattern, opts)
-			outs[slot] = shardOut{res: res, err: err}
-		}(slot, si)
-	}
-	wg.Wait()
-
-	res := RegexResult{ShardsQueried: len(targets), Prefiltered: true}
-	nOK := 0
-	var errs []error
-	for slot, o := range outs {
-		si := targets[slot]
-		switch {
-		case o.err == nil:
-			nOK++
-			res.Matches += o.res.Matches
-			res.Lines = append(res.Lines, o.res.Lines...)
-			res.Prefiltered = res.Prefiltered && o.res.Prefiltered
-			res.TotalPages += o.res.TotalPages
-			res.CandidatePages += o.res.CandidatePages
-			res.CachedPages += o.res.CachedPages
-			if o.res.SimElapsed > res.SimElapsed {
-				res.SimElapsed = o.res.SimElapsed
-			}
-			if o.res.QueueTime > res.QueueTime {
-				res.QueueTime = o.res.QueueTime
-			}
-		case errors.Is(o.err, core.ErrNothingIngested):
-			res.EmptyShards++
-		default:
-			res.Failed = append(res.Failed, ShardError{Shard: si, Err: o.err})
-			r.shardErrors.WithLabelValues(strconv.Itoa(si)).Inc()
-			errs = append(errs, fmt.Errorf("shard %d: %w", si, o.err))
-		}
-	}
-	res.WallElapsed = time.Since(start)
-	if nOK == 0 && res.EmptyShards == len(targets) {
-		return RegexResult{}, core.ErrNothingIngested
-	}
-	if nOK == 0 && res.EmptyShards == 0 {
-		return RegexResult{}, errors.Join(errs...)
-	}
-	if len(res.Failed) > 0 {
-		res.Partial = true
-		r.partials.Inc()
-	}
-	if nOK == 0 {
-		res.Prefiltered = false
-	}
-	sortLines(res.Lines)
-	return res, nil
+	sortLines(m.Lines)
+	m.WallElapsed = time.Since(start)
+	return RegexResult{RegexResult: m, Gather: g}, nil
 }
 
 // sortLines puts merged lines into canonical lexicographic order, making

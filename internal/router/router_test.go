@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -188,37 +189,96 @@ func TestEmptyShardsAreNotFailures(t *testing.T) {
 	}
 }
 
+// TestPartialFailureSemantics runs the gather's outcome table through
+// both query kinds, which share one scatter-gather: a query answers as
+// long as one shard does (or none failed), reports the shards that did
+// not, and errors only when no shard answered and none was merely empty.
 func TestPartialFailureSemantics(t *testing.T) {
-	r := newTestRouter(t, 4)
-	if err := r.Ingest("", tenantLines("anon", 400)); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// Break shard 2's device for the next scan.
 	broken := errors.New("uncorrectable ECC")
-	r.Shard(2).Device().FailNextReads(1000, broken)
-	res, err := r.Search(context.Background(), "", query.MustParse("request"), core.SearchOptions{NoIndex: true, CollectLines: true})
-	if err != nil {
-		t.Fatalf("partial failure must not fail the query: %v", err)
+	// view is what the two merged result kinds have in common.
+	type view struct {
+		Gather
+		matches, lines int
+		flags          bool // Offloaded && UsedIndex, or Prefiltered
 	}
-	if !res.Partial || len(res.Failed) != 1 || res.Failed[0].Shard != 2 {
-		t.Fatalf("failed = %+v, want exactly shard 2", res.Failed)
+	kinds := []struct {
+		name string
+		run  func(*Router) (view, error)
+	}{
+		{"token", func(r *Router) (view, error) {
+			res, err := r.Search(context.Background(), "", query.MustParse("request"), core.SearchOptions{CollectLines: true})
+			return view{res.Gather, res.Matches, len(res.Lines), res.Offloaded && res.UsedIndex}, err
+		}},
+		{"regex", func(r *Router) (view, error) {
+			res, err := r.SearchRegex(context.Background(), "", ` request id=[0-9]+ `, core.RegexOptions{CollectLines: true})
+			return view{res.Gather, res.Matches, len(res.Lines), res.Prefiltered}, err
+		}},
 	}
-	if !errors.Is(res.Failed[0].Err, broken) {
-		t.Fatalf("shard error = %v, want wrapped device error", res.Failed[0].Err)
+	rows := []struct {
+		name    string
+		tenant  string // ingest placement: "" stripes over all four shards
+		lines   int
+		fail    []int // shards whose device breaks
+		wantErr error
+		want    view
+	}{
+		{name: "all ok", lines: 400,
+			want: view{Gather{ShardsQueried: 4}, 400, 400, true}},
+		{name: "some failed", lines: 400,
+			fail: []int{2},
+			want: view{Gather{ShardsQueried: 4, Partial: true}, 300, 300, true}},
+		{name: "all empty", lines: 0,
+			wantErr: core.ErrNothingIngested},
+		{name: "all failed", lines: 400,
+			fail:    []int{0, 1, 2, 3},
+			wantErr: broken},
+		// The one shard with data fails and the rest are empty: nobody
+		// answered, but an empty shard is not a failure, so the query
+		// reports a partial, matchless result instead of an error.
+		{name: "empty and failed, none ok", tenant: "acme", lines: 60,
+			fail: []int{shardIndex("acme", 4)},
+			want: view{Gather{ShardsQueried: 4, Partial: true, EmptyShards: 3}, 0, 0, false}},
 	}
-	if res.Matches != 300 {
-		t.Fatalf("matches = %d, want 300 (three healthy shards)", res.Matches)
-	}
-
-	// When every shard fails, the query fails.
-	for i := 0; i < 4; i++ {
-		r.Shard(i).Device().FailNextReads(1000, broken)
-	}
-	if _, err := r.Search(context.Background(), "", query.MustParse("request"), core.SearchOptions{NoIndex: true}); !errors.Is(err, broken) {
-		t.Fatalf("all-shards-failed err = %v, want device error", err)
+	for _, row := range rows {
+		for _, kind := range kinds {
+			t.Run(row.name+"/"+kind.name, func(t *testing.T) {
+				r := newTestRouter(t, 4)
+				if row.lines > 0 {
+					if err := r.Ingest(row.tenant, tenantLines("anon", row.lines)); err != nil {
+						t.Fatal(err)
+					}
+					if err := r.Flush(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				failed := row.fail
+				for _, si := range failed {
+					r.Shard(si).Device().FailNextReads(1000, broken)
+				}
+				got, err := kind.run(r)
+				if row.wantErr != nil {
+					if !errors.Is(err, row.wantErr) {
+						t.Fatalf("err = %v, want %v", err, row.wantErr)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatalf("a gather with an answering or empty shard must not fail the query: %v", err)
+				}
+				if len(got.Failed) != len(failed) {
+					t.Fatalf("failed = %+v, want shards %v", got.Failed, failed)
+				}
+				for i, f := range got.Failed {
+					if f.Shard != failed[i] || !errors.Is(f.Err, broken) {
+						t.Fatalf("failed[%d] = %+v, want shard %d with the wrapped device error", i, f, failed[i])
+					}
+				}
+				got.Failed = nil
+				if !reflect.DeepEqual(got, row.want) {
+					t.Fatalf("got %+v, want %+v", got, row.want)
+				}
+			})
+		}
 	}
 }
 

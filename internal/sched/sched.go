@@ -161,67 +161,67 @@ func (s *Scheduler) note(err error) error {
 	return err
 }
 
-// Search runs q through admission control and the engine, then accounts
-// simulated pipeline contention: with k queries resident on the device,
-// this query's isolated device-busy time stretches by QueueTime =
-// busy×(k−1) (see hwsim.Arbiter), reported in the result and folded into
-// SimElapsed.
-func (s *Scheduler) Search(ctx context.Context, q query.Query, opts core.SearchOptions) (core.SearchResult, error) {
+// admit is the one admission wrapper both query kinds run under: the
+// per-query deadline, an execution slot, and residency on the pipeline
+// arbiter. run receives the deadline-carrying context and the number of
+// queries sharing the device with it (itself included).
+func (s *Scheduler) admit(ctx context.Context, run func(ctx context.Context, sharers int) error) error {
 	ctx, cancel := s.deadline(ctx)
 	defer cancel()
 	release, err := s.acquire(ctx)
 	if err != nil {
-		return core.SearchResult{}, s.note(err)
+		return s.note(err)
 	}
 	defer release()
-	opts.Ctx = ctx
 	sharers := s.arb.Enter()
 	defer s.arb.Exit()
-	res, err := s.eng.Search(q, opts)
-	if err != nil {
-		return res, s.note(err)
-	}
-	if res.Offloaded {
-		busy := res.StreamTime
-		if res.FilterTime > busy {
-			busy = res.FilterTime
+	return s.note(run(ctx, sharers))
+}
+
+// queueTime accounts simulated pipeline contention for a query that held
+// the filter-pipeline complex: with k queries resident on the device, its
+// isolated device-busy time max(stream, filter) stretches by QueueTime =
+// busy×(k−1) (see hwsim.Arbiter). Callers report it in the result and
+// fold it into SimElapsed.
+func (s *Scheduler) queueTime(stream, filter time.Duration, sharers int) time.Duration {
+	qt := hwsim.QueueTime(max(stream, filter), sharers)
+	s.queueSim.Add(qt.Seconds())
+	return qt
+}
+
+// Search runs q through admission control and the engine, then accounts
+// simulated pipeline contention in the result's QueueTime. The host
+// software fallback never holds the pipelines and reports no queueing.
+func (s *Scheduler) Search(ctx context.Context, q query.Query, opts core.SearchOptions) (core.SearchResult, error) {
+	var res core.SearchResult
+	err := s.admit(ctx, func(ctx context.Context, sharers int) (err error) {
+		opts.Ctx = ctx
+		res, err = s.eng.Search(q, opts)
+		if err == nil && res.Offloaded {
+			res.QueueTime = s.queueTime(res.StreamTime, res.FilterTime, sharers)
+			res.SimElapsed += res.QueueTime
 		}
-		res.QueueTime = hwsim.QueueTime(busy, sharers)
-		res.SimElapsed += res.QueueTime
-		s.queueSim.Add(res.QueueTime.Seconds())
-	}
-	return res, nil
+		return err
+	})
+	return res, err
 }
 
 // SearchRegex runs a regex scan under admission control with the
 // scheduler's deadline threaded into the page loop. A prefiltered scan
 // runs candidate pages through the filter-pipeline complex just like a
-// token query, so it holds the arbiter and pays contention QueueTime; a
-// full-scan fallback bypasses the token engine (pages are forwarded to
-// the host) and reports no queueing.
+// token query, so it pays contention QueueTime; a full-scan fallback
+// bypasses the token engine (pages are forwarded to the host) and
+// reports no queueing.
 func (s *Scheduler) SearchRegex(ctx context.Context, pattern string, opts core.RegexOptions) (core.RegexResult, error) {
-	ctx, cancel := s.deadline(ctx)
-	defer cancel()
-	release, err := s.acquire(ctx)
-	if err != nil {
-		return core.RegexResult{}, s.note(err)
-	}
-	defer release()
-	opts.Ctx = ctx
-	sharers := s.arb.Enter()
-	defer s.arb.Exit()
-	res, err := s.eng.SearchRegexOpts(pattern, opts)
-	if err != nil {
-		return res, s.note(err)
-	}
-	if res.Prefiltered {
-		busy := res.StreamTime
-		if res.FilterTime > busy {
-			busy = res.FilterTime
+	var res core.RegexResult
+	err := s.admit(ctx, func(ctx context.Context, sharers int) (err error) {
+		opts.Ctx = ctx
+		res, err = s.eng.SearchRegexOpts(pattern, opts)
+		if err == nil && res.Prefiltered {
+			res.QueueTime = s.queueTime(res.StreamTime, res.FilterTime, sharers)
+			res.SimElapsed += res.QueueTime
 		}
-		res.QueueTime = hwsim.QueueTime(busy, sharers)
-		res.SimElapsed += res.QueueTime
-		s.queueSim.Add(res.QueueTime.Seconds())
-	}
-	return res, nil
+		return err
+	})
+	return res, err
 }

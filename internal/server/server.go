@@ -261,22 +261,32 @@ func searchStatus(err error) int {
 	}
 }
 
+// parseLimit parses the limit parameter /search, /trace and /grep share:
+// the cap on returned lines (default 100; 0 asks for counts only). On a
+// malformed value the 400 has already been written to w.
+func parseLimit(w http.ResponseWriter, r *http.Request) (limit int, ok bool) {
+	v := r.FormValue("limit")
+	if v == "" {
+		return 100, true
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 0 {
+		writeErr(w, http.StatusBadRequest, "bad limit %q", v)
+		return 0, false
+	}
+	return n, true
+}
+
 // searchParams parses the query parameters shared by /search and /trace.
-// A non-nil error has already been written to w.
+// When ok is false the error has already been written to w.
 func searchParams(w http.ResponseWriter, r *http.Request) (expr string, limit int, opts mithrilog.SearchOptions, ok bool) {
 	expr = r.FormValue("q")
 	if expr == "" {
 		writeErr(w, http.StatusBadRequest, "missing q parameter")
 		return "", 0, opts, false
 	}
-	limit = 100
-	if v := r.FormValue("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			writeErr(w, http.StatusBadRequest, "bad limit %q", v)
-			return "", 0, opts, false
-		}
-		limit = n
+	if limit, ok = parseLimit(w, r); !ok {
+		return "", 0, opts, false
 	}
 	opts.CollectLines = limit > 0
 	opts.NoIndex = r.FormValue("noindex") == "1"
@@ -373,14 +383,9 @@ func (s *Server) handleGrep(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "missing e parameter")
 		return
 	}
-	limit := 100
-	if v := r.FormValue("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			writeErr(w, http.StatusBadRequest, "bad limit %q", v)
-			return
-		}
-		limit = n
+	limit, ok := parseLimit(w, r)
+	if !ok {
+		return
 	}
 	opts := mithrilog.RegexOptions{
 		CollectLines: limit > 0,

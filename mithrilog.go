@@ -374,7 +374,10 @@ type ShardFailure struct {
 // TimingBreakdown decomposes a simulated query time: index traversal,
 // page streaming, filter compute (overlapping the stream; the slower
 // binds), host return traffic, and — when other queries were in flight —
-// the time spent queued for the shared filter pipelines.
+// the time spent queued for the shared filter pipelines. On a sharded
+// engine the shards scan in parallel, so Index/Stream/Filter/Return are
+// those of the shard whose simulated time bound the query, and Queue is
+// the worst queue share any answering shard reported.
 type TimingBreakdown struct {
 	Index, Stream, Filter, Return, Queue time.Duration
 }
@@ -441,19 +444,43 @@ func (e *Engine) run(q query.Query, opts SearchOptions, trace *obs.Span) (Result
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if e.router != nil {
-		return e.runRouted(ctx, q, opts, trace)
-	}
-	res, err := e.sched.Search(ctx, q, core.SearchOptions{
+	copts := core.SearchOptions{
 		NoIndex:      opts.NoIndex,
 		CollectLines: opts.CollectLines,
 		From:         opts.From,
 		To:           opts.To,
-		Trace:        trace,
-	})
+	}
+	if e.router == nil {
+		copts.Trace = trace
+		res, err := e.sched.Search(ctx, q, copts)
+		if err != nil {
+			return Result{}, err
+		}
+		return toResult(res, router.Gather{ShardsQueried: 1}, e.inner.RawBytes(), opts.CollectLines), nil
+	}
+	// The scatter-gather happens inside the router (per-shard deadlines,
+	// tenant quota, merge in canonical order). Per-shard span trees would
+	// interleave, so a routed trace stays at fleet granularity: the root
+	// span is annotated with the fleet shape.
+	res, err := e.router.Search(ctx, opts.Tenant, q, copts)
 	if err != nil {
 		return Result{}, err
 	}
+	if trace != nil {
+		trace.SetAttrInt("shards_queried", int64(res.ShardsQueried))
+		trace.SetAttrInt("empty_shards", int64(res.EmptyShards))
+		trace.SetAttrBool("partial", res.Partial)
+		if opts.Tenant != "" {
+			trace.SetAttr("tenant", opts.Tenant)
+		}
+	}
+	return toResult(res.SearchResult, res.Gather, e.router.Stats().RawBytes, opts.CollectLines), nil
+}
+
+// toResult translates an engine-shaped search result — a single engine's,
+// or the router's merged fleet view with its gather summary g — into the
+// facade Result; rawBytes is the dataset size EffectiveGBps is against.
+func toResult(res core.SearchResult, g router.Gather, rawBytes uint64, collect bool) Result {
 	out := Result{
 		Matches:        res.Matches,
 		Offloaded:      res.Offloaded,
@@ -470,68 +497,32 @@ func (e *Engine) run(q query.Query, opts SearchOptions, trace *obs.Span) (Result
 			Queue:  res.QueueTime,
 		},
 		WallElapsed:   res.WallElapsed,
-		EffectiveGBps: res.EffectiveThroughput(e.inner.RawBytes()) / 1e9,
-		ShardsQueried: 1,
+		EffectiveGBps: res.EffectiveThroughput(rawBytes) / 1e9,
+		Partial:       g.Partial,
+		FailedShards:  shardFailures(g),
+		ShardsQueried: g.ShardsQueried,
+		EmptyShards:   g.EmptyShards,
 	}
-	if opts.CollectLines {
-		out.Lines = make([]string, len(res.Lines))
-		for i, l := range res.Lines {
-			out.Lines[i] = string(l)
-		}
+	if collect {
+		out.Lines = lineStrings(res.Lines)
 	}
-	return out, nil
+	return out
 }
 
-// runRouted executes a query on the sharded fleet. The scatter-gather
-// happens inside the router (per-shard deadlines, tenant quota, merge in
-// canonical order); this wrapper translates to the facade Result and, on
-// a trace, annotates the root span with the fleet shape — per-shard span
-// trees would interleave, so routed traces stay at fleet granularity.
-func (e *Engine) runRouted(ctx context.Context, q query.Query, opts SearchOptions, trace *obs.Span) (Result, error) {
-	res, err := e.router.Search(ctx, opts.Tenant, q, core.SearchOptions{
-		NoIndex:      opts.NoIndex,
-		CollectLines: opts.CollectLines,
-		From:         opts.From,
-		To:           opts.To,
-	})
-	if err != nil {
-		return Result{}, err
+func shardFailures(g router.Gather) []ShardFailure {
+	var out []ShardFailure
+	for _, f := range g.Failed {
+		out = append(out, ShardFailure{Shard: f.Shard, Error: f.Err.Error()})
 	}
-	out := Result{
-		Matches:        res.Matches,
-		Offloaded:      res.Offloaded,
-		UsedIndex:      res.UsedIndex,
-		CandidatePages: res.CandidatePages,
-		TotalPages:     res.TotalPages,
-		CachedPages:    res.CachedPages,
-		SimElapsed:     res.SimElapsed,
-		Breakdown:      TimingBreakdown{Queue: res.QueueTime},
-		WallElapsed:    res.WallElapsed,
-		Partial:        res.Partial,
-		ShardsQueried:  res.ShardsQueried,
-		EmptyShards:    res.EmptyShards,
+	return out
+}
+
+func lineStrings(lines [][]byte) []string {
+	out := make([]string, len(lines))
+	for i, l := range lines {
+		out[i] = string(l)
 	}
-	for _, f := range res.Failed {
-		out.FailedShards = append(out.FailedShards, ShardFailure{Shard: f.Shard, Error: f.Err.Error()})
-	}
-	if raw := e.router.Stats().RawBytes; res.SimElapsed > 0 {
-		out.EffectiveGBps = float64(raw) / res.SimElapsed.Seconds() / 1e9
-	}
-	if opts.CollectLines {
-		out.Lines = make([]string, len(res.Lines))
-		for i, l := range res.Lines {
-			out.Lines[i] = string(l)
-		}
-	}
-	if trace != nil {
-		trace.SetAttrInt("shards_queried", int64(out.ShardsQueried))
-		trace.SetAttrInt("empty_shards", int64(out.EmptyShards))
-		trace.SetAttrBool("partial", out.Partial)
-		if opts.Tenant != "" {
-			trace.SetAttr("tenant", opts.Tenant)
-		}
-	}
-	return out, nil
+	return out
 }
 
 // Stats summarizes engine contents.
@@ -693,33 +684,17 @@ func (e *Engine) SearchRegexOpts(ctx context.Context, tenant, pattern string, op
 		if err != nil {
 			return RegexResult{}, err
 		}
-		out := RegexResult{
-			Matches:        res.Matches,
-			Prefiltered:    res.Prefiltered,
-			TotalPages:     res.TotalPages,
-			CandidatePages: res.CandidatePages,
-			CachedPages:    res.CachedPages,
-			SimElapsed:     res.SimElapsed,
-			WallElapsed:    res.WallElapsed,
-			Partial:        res.Partial,
-			ShardsQueried:  res.ShardsQueried,
-			EmptyShards:    res.EmptyShards,
-		}
-		for _, f := range res.Failed {
-			out.FailedShards = append(out.FailedShards, ShardFailure{Shard: f.Shard, Error: f.Err.Error()})
-		}
-		if opts.CollectLines {
-			out.Lines = make([]string, len(res.Lines))
-			for i, l := range res.Lines {
-				out.Lines[i] = string(l)
-			}
-		}
-		return out, nil
+		return toRegexResult(res.RegexResult, res.Gather, opts.CollectLines), nil
 	}
 	res, err := e.sched.SearchRegex(ctx, pattern, copts)
 	if err != nil {
 		return RegexResult{}, err
 	}
+	return toRegexResult(res, router.Gather{ShardsQueried: 1}, opts.CollectLines), nil
+}
+
+// toRegexResult is toResult for regex scans.
+func toRegexResult(res core.RegexResult, g router.Gather, collect bool) RegexResult {
 	out := RegexResult{
 		Matches:        res.Matches,
 		Prefiltered:    res.Prefiltered,
@@ -728,13 +703,13 @@ func (e *Engine) SearchRegexOpts(ctx context.Context, tenant, pattern string, op
 		CachedPages:    res.CachedPages,
 		SimElapsed:     res.SimElapsed,
 		WallElapsed:    res.WallElapsed,
-		ShardsQueried:  1,
+		Partial:        g.Partial,
+		FailedShards:   shardFailures(g),
+		ShardsQueried:  g.ShardsQueried,
+		EmptyShards:    g.EmptyShards,
 	}
-	if opts.CollectLines {
-		out.Lines = make([]string, len(res.Lines))
-		for i, l := range res.Lines {
-			out.Lines[i] = string(l)
-		}
+	if collect {
+		out.Lines = lineStrings(res.Lines)
 	}
-	return out, nil
+	return out
 }

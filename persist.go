@@ -9,10 +9,12 @@ import (
 	"mithrilog/internal/router"
 )
 
-// ErrSharded reports a gob Save/Load/Export on a sharded engine; fleets
+// ErrSharded reports an operation that needs the single-engine layout
+// called on a sharded engine: the whole-store passes (Tag, SearchBatch and
+// the analytics built on them, Export) and the gob Save/Load. Fleets
 // persist through WriteSegments/Reopen instead, whose stream carries the
 // shard count so placement stays consistent across restarts.
-var ErrSharded = errors.New("mithrilog: operation not supported on a sharded engine; use WriteSegments/Reopen")
+var ErrSharded = errors.New("mithrilog: operation needs a single engine and is not supported with Config.Shards > 1 (fleets persist through WriteSegments/Reopen)")
 
 // Save serializes the engine's persistent state — storage pages (data +
 // in-storage index nodes), the in-memory index tables, and metadata — so

@@ -336,7 +336,8 @@ func TestSingleEngineReopen(t *testing.T) {
 }
 
 // TestShardedPersistGuards pins the unsupported-operation contract:
-// sharded engines refuse gob Save/Load/Export with ErrSharded.
+// sharded engines refuse gob Save/Load/Export and the whole-store passes
+// (SearchBatch, Tag) with ErrSharded.
 func TestShardedPersistGuards(t *testing.T) {
 	e := Open(Config{Shards: 2})
 	if err := e.Save(io.Discard); !errors.Is(err, ErrSharded) {
@@ -347,5 +348,12 @@ func TestShardedPersistGuards(t *testing.T) {
 	}
 	if _, err := Load(Config{Shards: 2}, bytes.NewReader(nil)); !errors.Is(err, ErrSharded) {
 		t.Fatalf("Load with Shards: %v, want ErrSharded", err)
+	}
+	if _, err := e.SearchBatch([]Query{MustParseQuery("a")}); !errors.Is(err, ErrSharded) {
+		t.Fatalf("SearchBatch on sharded engine: %v, want ErrSharded", err)
+	}
+	lib := ExtractTemplates([]string{"a b c", "a b d"}, TemplateParams{})
+	if _, err := e.Tag(lib, false); !errors.Is(err, ErrSharded) {
+		t.Fatalf("Tag on sharded engine: %v, want ErrSharded", err)
 	}
 }

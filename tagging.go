@@ -33,6 +33,9 @@ type TagResult struct {
 // in the prototype) take multiple passes over the data. Set collect to
 // materialize per-line template IDs in the result.
 func (e *Engine) Tag(lib *TemplateLibrary, collect bool) (TagResult, error) {
+	if e.router != nil {
+		return TagResult{}, ErrSharded
+	}
 	qs := make([]query.Query, 0, lib.lib.Len())
 	for i := 0; i < lib.lib.Len(); i++ {
 		q, err := lib.lib.Query(i)

@@ -114,6 +114,10 @@ type ScanResult struct {
 	BytesScanned uint64
 	// CompressedBytesRead is the storage traffic (external link).
 	CompressedBytesRead uint64
+	// TermPasses is the number of per-term containment passes evaluated:
+	// one per distinct query term per line, the per-term CPU cost of
+	// §7.4.2 as a count instead of a time.
+	TermPasses uint64
 }
 
 // EffectiveThroughput is the §7.4.2 metric: original dataset size divided
@@ -151,7 +155,7 @@ func (e *Engine) scan(q query.Query, workers int, collect bool) (ScanResult, err
 	var mu sync.Mutex
 	var firstErr error
 	total := 0
-	var scanned, compRead uint64
+	var scanned, compRead, passes uint64
 	var lines [][]byte
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -172,6 +176,9 @@ func (e *Engine) scan(q query.Query, workers int, collect bool) (ScanResult, err
 				lines = append(lines, kept...)
 				mu.Unlock()
 			}
+			mu.Lock()
+			passes += matcher.passes
+			mu.Unlock()
 		}()
 	}
 	for bi := range e.blocks {
@@ -188,6 +195,7 @@ func (e *Engine) scan(q query.Query, workers int, collect bool) (ScanResult, err
 		Elapsed:             time.Since(start),
 		BytesScanned:        scanned,
 		CompressedBytesRead: compRead,
+		TermPasses:          passes,
 	}, nil
 }
 
@@ -241,6 +249,7 @@ type matcher struct {
 	index map[string]int
 	// present is scratch per line.
 	present []bool
+	passes  uint64 // containment passes run so far
 }
 
 func newMatcher(q query.Query) *matcher {
@@ -264,6 +273,7 @@ func (m *matcher) match(line []byte) bool {
 	for i, t := range m.terms {
 		m.present[i] = containsToken(line, t)
 	}
+	m.passes += uint64(len(m.terms))
 	for _, set := range m.q.Sets {
 		ok := true
 		for _, term := range set.Terms {

@@ -92,22 +92,24 @@ func TestCompressionReducesTraffic(t *testing.T) {
 }
 
 func TestPerTermCostGrows(t *testing.T) {
-	// The §7.4.2 shape: more terms per query -> lower effective throughput.
-	// Compare 2-term vs 16-term scan times; timing is noisy so require
-	// only that the large query is not dramatically faster.
-	e, _ := buildSmall(t)
+	// The §7.4.2 shape: more terms per query -> more work per line. The
+	// work is counted, not timed: one containment pass per distinct term
+	// per line, so a 16-term scan does exactly eight times a 2-term scan's.
+	e, ds := buildSmall(t)
 	small := query.MustParse(`RAS AND KERNEL`)
 	big := query.MustParse(`RAS AND KERNEL AND INFO AND FATAL AND parity AND cache AND error AND corrected AND machine AND check AND interrupt AND TLB AND data AND instruction AND core AND signal`)
 	rs, err := e.Scan(small, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := e.Scan(big, 1)
+	rb, err := e.Scan(big, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rb.Elapsed < rs.Elapsed/2 {
-		t.Errorf("16-term scan (%v) unexpectedly much faster than 2-term (%v)", rb.Elapsed, rs.Elapsed)
+	lines := uint64(len(ds.Lines))
+	if rs.TermPasses != 2*lines || rb.TermPasses != 16*lines {
+		t.Errorf("term passes over %d lines: 2-term scan %d, 16-term scan %d; want %d and %d",
+			lines, rs.TermPasses, rb.TermPasses, 2*lines, 16*lines)
 	}
 }
 

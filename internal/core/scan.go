@@ -29,7 +29,7 @@ type scanStrategy struct {
 }
 
 // pageEval judges one decoded page on worker w, once per page: text is
-// the page's newline-separated lines, tb its token stream (non-nil exactly
+// the page's newline-separated lines, tb its token spans (non-nil exactly
 // when the scan has a cache). kept are the lines satisfying the query;
 // verified are the lines a host-side matcher had to look at to decide
 // that (nil when the filter pipelines decided alone). Both alias text and
@@ -38,7 +38,7 @@ type pageEval func(w int, text []byte, tb *filter.TokenizedBlock) (verified, kep
 
 // cuckooEval keeps the lines the worker's configured filter pipeline
 // passes: the fused tokenize-and-filter pass when the scan has no cache,
-// the hash filters alone over the cache's token stream otherwise.
+// the hash filters alone over the cache's token spans otherwise.
 func cuckooEval(st *scanState) pageEval {
 	return func(w int, text []byte, tb *filter.TokenizedBlock) (_, kept [][]byte, err error) {
 		if tb != nil {

@@ -15,10 +15,11 @@
 //
 // Allocation discipline: the lookup paths — Lookup, LookupBytes, and the
 // batched LookupBatch — allocate nothing (guarded by
-// TestLookupBatchZeroAllocs and the perf harness's cuckoo micro legs);
-// only query compilation allocates. Lookups are also hwpure: results and
-// any cycle-relevant behavior depend only on the table contents and the
-// probed bytes, never on wall clock, randomness, or map iteration order.
+// TestLookupBatchZeroAllocs, the filter's AllocsPerRun pins and the perf
+// harness's cuckoo micro legs); only query compilation allocates. Lookups
+// are also hwpure: results and any cycle-relevant behavior depend only on
+// the table contents and the probed bytes, never on wall clock, randomness,
+// or map iteration order.
 package cuckoo
 
 import (
@@ -133,6 +134,10 @@ type Table struct {
 	// Block RAM in one cycle either way, so this changes no lookup result
 	// and no cycle account — only host wall-clock cost.
 	lenMask uint64
+	// firstMask has bit b&63 set for the first byte b of every stored
+	// token: the same fast path one step later, sparing LookupBytes both
+	// hashes of most tokens that merely have a stored length.
+	firstMask uint64
 }
 
 // lenBit maps a token length to its lenMask bit; lengths ≥63 share one.
@@ -142,6 +147,11 @@ func lenBit(n int) uint64 {
 	}
 	return 1 << uint(n)
 }
+
+// HasLen reports whether any stored token is n bytes long (lengths ≥63
+// share one answer): false means LookupBytes would miss, so a scan asks
+// this before it so much as reads a token's bytes.
+func (t *Table) HasLen(n int) bool { return t.lenMask&lenBit(n) != 0 }
 
 // New creates an empty table.
 func New(cfg Config) *Table {
@@ -157,11 +167,6 @@ func (t *Table) Sets() int { return t.cfg.Sets }
 
 // Occupied returns the number of used rows.
 func (t *Table) Occupied() int { return t.occupied }
-
-// LoadFactor returns occupied/rows.
-func (t *Table) LoadFactor() float64 {
-	return float64(t.occupied) / float64(t.cfg.Rows)
-}
 
 // OverflowWordsUsed returns the number of overflow words consumed.
 func (t *Table) OverflowWordsUsed() int { return t.overflowUsed }
@@ -235,6 +240,9 @@ func (t *Table) Insert(tok string, pairs []FlagPair) error {
 	t.overflowUsed += need
 	t.occupied++
 	t.lenMask |= lenBit(len(tok))
+	if len(tok) > 0 {
+		t.firstMask |= 1 << (tok[0] & 63)
+	}
 	return nil
 }
 
@@ -335,11 +343,14 @@ func (t *Table) Lookup(tok string) (row int, pairs []FlagPair, ok bool) {
 }
 
 // LookupBytes is Lookup over a byte slice without forcing the caller to
-// allocate a string (the common case in the word-stream filter).
+// allocate a string: the filter probes tokens where they lie in the page.
 //
 //mithrilint:hotpath
 func (t *Table) LookupBytes(tok []byte) (row int, pairs []FlagPair, ok bool) {
 	if t.lenMask&lenBit(len(tok)) == 0 {
+		return 0, nil, false
+	}
+	if len(tok) > 0 && t.firstMask&(1<<(tok[0]&63)) == 0 {
 		return 0, nil, false
 	}
 	h1 := t.hashBytes1(tok)

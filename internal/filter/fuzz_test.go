@@ -77,3 +77,46 @@ func sampleLines(q query.Query) [][]byte {
 	add("")
 	return lines
 }
+
+// FuzzSpanVsWord is the differential between the two representations of
+// a tokenized page: for arbitrary block bytes and any query Configure
+// accepts, the in-place walker, the recorded spans and their evaluation
+// agree with the padded-word hardware model (tokenizer.TokenizeLine into
+// HashFilter.FeedTagged) on kept lines, per-line set masks, token
+// boundaries and columns, and every PipelineStats field — the word and
+// cycle counts the walker never materialises included. See
+// checkSpanVsWord.
+func FuzzSpanVsWord(f *testing.F) {
+	for _, block := range []string{
+		"",
+		"a",
+		"\n",
+		"\n\n\n",
+		" !",
+		"a\t\nb",
+		"RAS KERNEL INFO instruction cache parity error corrected\n",
+		"no trailing newline RAS",
+		"sixteen-bytes-tok seventeen-bytes-tk\nthirty-two-bytes-of-one-token-xx thirty-three-bytes-of-one-token-xx\n",
+		"x\x00y \xff\xfe \xa0\x8a\x89 RAS\tbytes\n",
+		"0123456 RAS\n0123456789abcde\n0123456789abcdef\n0123456789abcdefg", // block lengths around the chunk size
+	} {
+		for _, expr := range []string{
+			`parity AND error`,
+			`(RAS AND KERNEL AND NOT FATAL) OR (ciod: AND error)`,
+			`NOT kernel`,
+			`NOT RAS AND NOT a`,
+			`"instruction cache"@2 OR parity`,
+			`RAS@0 OR a@0`,
+			`sixteen-bytes-tok OR seventeen-bytes-tk OR thirty-three-bytes-of-one-token-xx`,
+		} {
+			f.Add([]byte(block), expr)
+		}
+	}
+	f.Fuzz(func(t *testing.T, block []byte, expr string) {
+		q, err := query.Parse(expr)
+		if err != nil {
+			return
+		}
+		checkSpanVsWord(t, block, q)
+	})
+}

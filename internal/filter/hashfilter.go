@@ -1,11 +1,17 @@
 // Package filter implements MithriLog's token filter: the hash filter
-// module that evaluates tokenized lines against a cuckoo-encoded query
+// module that evaluates a line's tokens against a cuckoo-encoded query
 // (§4.2.3), and the filter pipeline that composes tokenizers and hash
 // filters behind a decompressor at wire speed (Figure 3).
 //
 // A Pipeline scatters decompressed lines round-robin across its
-// tokenizers and feeds the ~2x-amplified token stream to two hash
-// filters, so one pipeline keeps up with the datapath's raw byte rate.
+// tokenizers and hash filters. The hardware moves tokens as zero-padded
+// 16-byte words (~2x the data, hence two hash filters per pipeline);
+// software has no use for the padding, so the scan path finds tokens where
+// they lie in the page (Pipeline.walk), probes them in place, and books
+// the words and cycles from the token lengths alone. TokenizeLine and
+// FeedTagged remain as the word-for-word model; FuzzSpanVsWord pins the
+// two token for token, verdict for verdict and count for count.
+//
 // Per-set match bitmaps let a single pass answer a union of up to
 // cuckoo.MaxSets intersection sets, which the engine uses both for
 // batched query demultiplexing and wire-speed template tagging.
@@ -24,12 +30,12 @@ import (
 	"mithrilog/internal/tokenizer"
 )
 
-// HashFilter evaluates a stream of tokenized datapath words against a
-// compiled query. For each line it keeps one bitmap per intersection set,
-// with one bit per hash table row; a positive term that fires sets its row
-// bit in that set's bitmap, and a negative term that fires marks the set
-// violated. At line end, the line is kept iff some active set's bitmap
-// exactly equals the set's query bitmap and the set was not violated.
+// HashFilter evaluates the tokens of a line against a compiled query. For
+// each line it keeps one bitmap per intersection set, with one bit per
+// hash table row; a positive term that fires sets its row bit in that
+// set's bitmap, and a negative term that fires marks the set violated. At
+// line end, the line is kept iff some active set's bitmap exactly equals
+// the set's query bitmap and the set was not violated.
 //
 // The hardware consumes one datapath word per cycle; Words() exposes the
 // consumed-word count as the module's cycle account.
@@ -40,16 +46,13 @@ type HashFilter struct {
 	violated []bool
 	active   int // number of intersection sets actually used by the query
 
-	tokBuf []byte
+	// fired: a token of the current line hit the table. idleMask is the
+	// verdict of a line on which none did — not always zero: a set with
+	// only negated terms is satisfied by the empty bitmap.
+	fired    bool
+	idleMask SetMask
 
-	// Per-line batch scratch for the FeedLine fast path: single-word
-	// tokens gather here (aliasing the caller's word stream) and resolve
-	// through cuckoo.LookupBatch in groups of cuckoo.BatchSize. Reused
-	// across lines; never escapes the filter.
-	batchToks  [][]byte
-	batchCols  []uint16
-	batchRows  []int32
-	batchPairs [][]cuckoo.FlagPair
+	tokBuf []byte // multi-word token reassembly (word model only)
 
 	words uint64 // datapath words consumed (== busy cycles)
 	lines uint64
@@ -73,6 +76,7 @@ func NewHashFilter(table *cuckoo.Table, active int) (*HashFilter, error) {
 	for i := range h.lineBM {
 		h.lineBM[i] = cuckoo.NewBitmap(table.Rows())
 	}
+	h.idleMask = h.decideMask()
 	return h, nil
 }
 
@@ -89,23 +93,14 @@ func (h *HashFilter) Kept() uint64 { return h.kept }
 // ResetStats clears the word/line counters (not the per-line state).
 func (h *HashFilter) ResetStats() { h.words, h.lines, h.kept = 0, 0, 0 }
 
-// Feed consumes one datapath word. When the word completes a line, Feed
-// returns lineDone=true and the keep decision for that line.
-func (h *HashFilter) Feed(w tokenizer.Word) (lineDone, keep bool) {
-	done, mask := h.FeedTagged(w)
-	return done, mask != 0
-}
-
+// evalToken probes the token at position col of the line and folds a hit
+// into the line state.
 func (h *HashFilter) evalToken(tok []byte, col uint16) {
 	row, pairs, ok := h.table.LookupBytes(tok)
 	if !ok {
 		return
 	}
-	h.applyPairs(row, pairs, col)
-}
-
-// applyPairs folds one matched row's flag pairs into the line state.
-func (h *HashFilter) applyPairs(row int, pairs []cuckoo.FlagPair, col uint16) {
+	h.fired = true
 	for si := 0; si < h.active; si++ {
 		p := pairs[si]
 		if !p.Valid {
@@ -122,27 +117,21 @@ func (h *HashFilter) applyPairs(row int, pairs []cuckoo.FlagPair, col uint16) {
 	}
 }
 
-// evalBatch resolves the gathered single-word tokens through the batched
-// cuckoo path and folds every hit into the line state. Bitmap sets and
-// violation flags commute, so deferring these tokens to a line-level
-// batch yields exactly the word-order evaluation's verdict.
-func (h *HashFilter) evalBatch(toks [][]byte, cols []uint16) {
-	if len(toks) == 0 {
-		return
+// endLine closes a line whose tokens went through evalToken and that
+// takes words datapath words: it returns the line's set mask, skipping
+// the bitmap compare and the reset when nothing fired.
+func (h *HashFilter) endLine(words uint64) SetMask {
+	h.words += words
+	h.lines++
+	mask := h.idleMask
+	if h.fired {
+		mask = h.decideMask()
+		h.resetLine()
 	}
-	if cap(h.batchRows) < len(toks) {
-		h.batchRows = make([]int32, len(toks))
-		h.batchPairs = make([][]cuckoo.FlagPair, len(toks))
+	if mask != 0 {
+		h.kept++
 	}
-	rows := h.batchRows[:len(toks)]
-	prs := h.batchPairs[:len(toks)]
-	h.table.LookupBatch(toks, rows, prs)
-	for k, p := range prs {
-		if p == nil {
-			continue
-		}
-		h.applyPairs(int(rows[k]), p, cols[k])
-	}
+	return mask
 }
 
 func (h *HashFilter) resetLine() {
@@ -150,14 +139,20 @@ func (h *HashFilter) resetLine() {
 		h.lineBM[si].Reset()
 		h.violated[si] = false
 	}
+	h.fired = false
 }
 
-// FeedLine runs a whole pre-tokenized line (its word stream) through the
-// filter and returns the keep decision. The words must form exactly one
-// line (final word flagged LastOfLine). This is the warm-path inner loop:
-// it walks the words by pointer, defers single-word tokens to a batched
-// cuckoo lookup, and allocates nothing in steady state.
+// FeedLine feeds one line's word stream, as tokenizer.TokenizeLine emits
+// it, through FeedTagged and returns the keep decision. The words must
+// form exactly one line (final word flagged LastOfLine, no other).
 func (h *HashFilter) FeedLine(words []tokenizer.Word) (bool, error) {
-	mask, err := h.FeedLineTagged(words)
-	return mask != 0, err
+	for i, w := range words {
+		if done, mask := h.FeedTagged(w); done {
+			if i != len(words)-1 {
+				return false, fmt.Errorf("filter: line terminated early at word %d/%d", i+1, len(words))
+			}
+			return mask != 0, nil
+		}
+	}
+	return false, fmt.Errorf("filter: word stream did not terminate a line")
 }

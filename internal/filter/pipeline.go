@@ -1,8 +1,10 @@
 package filter
 
 import (
-	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math/bits"
 
 	"mithrilog/internal/cuckoo"
 	"mithrilog/internal/hwsim"
@@ -79,13 +81,18 @@ type Pipeline struct {
 	array   *tokenizer.Array
 	filters []*HashFilter
 	table   *cuckoo.Table
-	q       query.Query
 
 	rawBytes uint64
 	lines    uint64
 	kept     uint64
 
-	wordBuf []tokenizer.Word
+	// What the last call found, in buffers every call reuses: each line's
+	// mask and the kept lines (evaluating), each token's span and each
+	// line's ends (Tokenize). Valid until the pipeline's next call.
+	masks     []SetMask
+	keptLines [][]byte
+	spans     []Span
+	ends      []lineEnd
 }
 
 // NewPipeline builds an unconfigured pipeline; Configure must be called
@@ -116,38 +123,26 @@ func (p *Pipeline) Configure(q query.Query) error {
 	}
 	p.table = tbl
 	p.filters = filters
-	p.q = q
 	return nil
 }
 
-// Table exposes the compiled cuckoo table (nil before Configure).
-func (p *Pipeline) Table() *cuckoo.Table { return p.table }
-
-// Query returns the configured query.
-func (p *Pipeline) Query() query.Query { return p.q }
-
 // FilterLines evaluates each line and returns the indices of kept lines,
-// in order.
+// in order. A line is what lies between two newlines, so none may contain
+// one.
 func (p *Pipeline) FilterLines(lines [][]byte) ([]int, error) {
-	if p.filters == nil {
-		return nil, fmt.Errorf("filter: pipeline not configured")
+	var block []byte
+	for _, line := range lines {
+		block = append(append(block, line...), '\n')
+	}
+	if err := p.evalBlock(block); err != nil {
+		return nil, err
+	}
+	if len(p.masks) != len(lines) {
+		return nil, fmt.Errorf("filter: %d lines hold %d newline-separated lines", len(lines), len(p.masks))
 	}
 	var keptIdx []int
-	groups := len(p.filters)
-	for i, line := range lines {
-		// Lines scatter round-robin over tokenizers; tokenizer groups feed
-		// hash filters exclusively, so line i lands on filter (i / groupSize) % groups
-		// — equivalently round-robin across filters per tokenizer turn.
-		f := p.filters[i%groups]
-		p.wordBuf = p.array.TokenizeLine(p.wordBuf[:0], line)
-		keep, err := f.FeedLine(p.wordBuf)
-		if err != nil {
-			return nil, err
-		}
-		p.rawBytes += uint64(len(line))
-		p.lines++
-		if keep {
-			p.kept++
+	for i, mask := range p.masks {
+		if mask != 0 {
 			keptIdx = append(keptIdx, i)
 		}
 	}
@@ -156,36 +151,120 @@ func (p *Pipeline) FilterLines(lines [][]byte) ([]int, error) {
 
 // FilterBlock splits a newline-separated text block (as emitted
 // line-aligned by the decompressor, §5) and returns the kept lines. The
-// returned slices alias the input block.
+// returned slices alias the input block, and the slice of them is the
+// pipeline's own: it is valid until the pipeline's next call.
 func (p *Pipeline) FilterBlock(block []byte) ([][]byte, error) {
+	if err := p.evalBlock(block); err != nil {
+		return nil, err
+	}
+	return p.keptLines, nil
+}
+
+var errNotConfigured = errors.New("filter: pipeline not configured")
+
+// evalBlock evaluates every line of block against the configured query,
+// leaving each line's mask in p.masks and the kept lines in p.keptLines.
+func (p *Pipeline) evalBlock(block []byte) error {
 	if p.filters == nil {
-		return nil, fmt.Errorf("filter: pipeline not configured")
+		return errNotConfigured
 	}
-	var kept [][]byte
-	i := 0
-	for len(block) > 0 {
-		nl := bytes.IndexByte(block, '\n')
-		var line []byte
-		if nl < 0 {
-			line, block = block, nil
+	p.masks, p.keptLines = p.masks[:0], p.keptLines[:0]
+	p.walk(block, false)
+	return nil
+}
+
+const ( // the delimiters, and the low seven bits, in every byte lane
+	spaces   = 0x2020202020202020
+	tabs     = 0x0909090909090909
+	newlines = 0x0a0a0a0a0a0a0a0a
+	low7     = 0x7f7f7f7f7f7f7f7f
+)
+
+// zeroBytes returns 0x80 in every byte lane of x that is zero, 0 in every
+// other. It is the exact test: the cheaper (x-0x01…)&^x&0x80… also flags
+// the lane above a zero lane, so " !" would report '!' as a space.
+func zeroBytes(x uint64) uint64 { return ^(((x & low7) + low7) | x | low7) }
+
+// walk is the one pass over page text: eight bytes at a time it finds the
+// tokens (maximal runs of bytes other than space, tab and newline) and the
+// lines (newline-separated; a trailing fragment without one is a line) of
+// block, and books every line on the tokenizer array's current unit from
+// its lengths — a token of n bytes is tokenizer.WordsFor(n) datapath words,
+// a line without tokens one marker word — as TokenizeLine would have.
+//
+// Evaluating, it probes each token where it lies, hands line i with its
+// word count to hash filter i mod len(filters), and appends to p.masks and
+// p.keptLines. Recording (Tokenize), it appends to p.spans and p.ends and
+// leaves the hash filters alone.
+//
+//mithrilint:hotpath
+func (p *Pipeline) walk(block []byte, record bool) {
+	n := len(block)
+	unterminated := n > 0 && block[n-1] != '\n'
+	var f *HashFilter // of the current line: line i's is filters[i mod n]
+	if !record {
+		f = p.filters[0]
+	}
+	lineStart, tokStart := 0, 0 // tokStart: one past the last delimiter seen
+	var tokens, words, useful, wordEnd uint64
+	for i := 0; i <= n; i += 8 {
+		var v uint64
+		if i+8 <= n {
+			v = binary.LittleEndian.Uint64(block[i:])
 		} else {
-			line, block = block[:nl], block[nl+1:]
+			// The short last chunk, zero-padded (zero is no delimiter), a
+			// newline standing in after an unterminated last line.
+			var tail [8]byte
+			k := copy(tail[:], block[i:])
+			if unterminated {
+				tail[k] = '\n'
+			}
+			v = binary.LittleEndian.Uint64(tail[:])
 		}
-		f := p.filters[i%len(p.filters)]
-		p.wordBuf = p.array.TokenizeLine(p.wordBuf[:0], line)
-		keep, err := f.FeedLine(p.wordBuf)
-		if err != nil {
-			return nil, err
+		nl := zeroBytes(v ^ newlines)
+		for m := nl | zeroBytes(v^spaces) | zeroBytes(v^tabs); m != 0; m &= m - 1 {
+			d := i + bits.TrailingZeros64(m)>>3 // the delimiter's offset
+			if l := d - tokStart; l > 0 {
+				if record {
+					p.spans = append(p.spans, Span{Off: uint32(tokStart), Len: uint32(l)})
+				} else if p.table.HasLen(l) {
+					f.evalToken(block[tokStart:d], uint16(tokens))
+				}
+				tokens++
+				words += tokenizer.WordsFor(l)
+				useful += uint64(l)
+			}
+			tokStart = d + 1
+			if nl&m&-m == 0 {
+				continue
+			}
+			if tokens == 0 {
+				words = 1
+			}
+			p.array.AccountLine(d-lineStart, tokens, words, useful)
+			if record {
+				wordEnd += words
+				p.ends = append(p.ends, lineEnd{tokEnd: uint32(len(p.spans)), wordEnd: uint32(wordEnd), byteEnd: uint32(d)})
+			} else {
+				mask := f.endLine(words)
+				p.masks = append(p.masks, mask)
+				p.keepLine(block[lineStart:d], mask)
+				f = p.filters[len(p.masks)%len(p.filters)]
+			}
+			lineStart = d + 1
+			tokens, words, useful = 0, 0, 0
 		}
-		p.rawBytes += uint64(len(line))
-		p.lines++
-		if keep {
-			p.kept++
-			kept = append(kept, line)
-		}
-		i++
 	}
-	return kept, nil
+}
+
+// keepLine books one evaluated line and keeps it if any set matched.
+func (p *Pipeline) keepLine(line []byte, mask SetMask) {
+	p.rawBytes += uint64(len(line))
+	p.lines++
+	if mask != 0 {
+		p.kept++
+		p.keptLines = append(p.keptLines, line)
+	}
 }
 
 // Stats returns the pipeline's accumulated statistics.

@@ -1,11 +1,6 @@
 package filter
 
-import (
-	"bytes"
-	"fmt"
-
-	"mithrilog/internal/tokenizer"
-)
+import "mithrilog/internal/tokenizer"
 
 // SetMask is a bitmask of satisfied intersection sets for one line: bit i
 // is set when intersection set i matched. This is the §8 "tagging each
@@ -39,8 +34,10 @@ func (h *HashFilter) decideMask() SetMask {
 	return mask
 }
 
-// FeedTagged consumes one datapath word like Feed; when the word completes
-// a line it returns lineDone=true and the per-set match mask.
+// FeedTagged consumes one datapath word; when the word completes a line it
+// returns lineDone=true and the per-set match mask. Together with
+// tokenizer.TokenizeLine this is the word-for-word model of the hardware
+// that the in-place scan path is pinned to.
 //
 //mithrilint:hotpath
 func (h *HashFilter) FeedTagged(w tokenizer.Word) (lineDone bool, mask SetMask) {
@@ -72,56 +69,6 @@ func (h *HashFilter) FeedTagged(w tokenizer.Word) (lineDone bool, mask SetMask) 
 	return false, 0
 }
 
-// FeedLineTagged runs a whole line's word stream through the filter and
-// returns its set mask. It computes the same mask the word-at-a-time
-// FeedTagged stream would — bitmap sets and violation flags commute
-// within a line — but walks the words by pointer (no per-word struct
-// copy) and resolves single-word tokens through the batched cuckoo
-// lookup; only multi-word tokens pay the reassembly path.
-//
-//mithrilint:hotpath
-func (h *HashFilter) FeedLineTagged(words []tokenizer.Word) (SetMask, error) {
-	n := len(words)
-	if n == 0 {
-		return 0, fmt.Errorf("filter: word stream did not terminate a line")
-	}
-	if !words[n-1].LastOfLine {
-		return 0, fmt.Errorf("filter: word stream did not terminate a line")
-	}
-	toks := h.batchToks[:0]
-	cols := h.batchCols[:0]
-	for i := range words {
-		w := &words[i]
-		if w.LastOfLine && i != n-1 {
-			return 0, fmt.Errorf("filter: line terminated early at word %d/%d", i+1, n)
-		}
-		if !w.LastOfToken {
-			h.tokBuf = append(h.tokBuf, w.Data[:w.Len]...)
-			continue
-		}
-		if len(h.tokBuf) != 0 {
-			// Multi-word token: reassemble and evaluate immediately.
-			h.tokBuf = append(h.tokBuf, w.Data[:w.Len]...)
-			h.evalToken(h.tokBuf, w.Column)
-			h.tokBuf = h.tokBuf[:0]
-		} else if w.Len > 0 {
-			toks = append(toks, w.Data[:w.Len:w.Len])
-			cols = append(cols, w.Column)
-		}
-	}
-	h.evalBatch(toks, cols)
-	h.batchToks = toks[:0]
-	h.batchCols = cols[:0]
-	h.words += uint64(n)
-	mask := h.decideMask()
-	h.resetLine()
-	h.lines++
-	if mask != 0 {
-		h.kept++
-	}
-	return mask, nil
-}
-
 // Tagged pairs a kept line with its set mask.
 type Tagged struct {
 	// Line aliases the scanned block.
@@ -130,70 +77,29 @@ type Tagged struct {
 	Mask SetMask
 }
 
-// TagBlock evaluates every line of a newline-separated block and returns
-// one SetMask per line, in order — including zero masks for lines that
-// match no set. This is the primitive behind §8's template-ID tagging:
-// the host receives a tag stream aligned with the line stream.
+// TagBlock evaluates every line of a newline-separated block and appends
+// one SetMask per line to masks, in order — including zero masks for lines
+// that match no set. This is the primitive behind §8's template-ID
+// tagging: the host receives a tag stream aligned with the line stream.
 func (p *Pipeline) TagBlock(masks []SetMask, block []byte) ([]SetMask, error) {
-	if p.filters == nil {
-		return nil, fmt.Errorf("filter: pipeline not configured")
+	if err := p.evalBlock(block); err != nil {
+		return nil, err
 	}
-	i := 0
-	for len(block) > 0 {
-		nl := bytes.IndexByte(block, '\n')
-		var line []byte
-		if nl < 0 {
-			line, block = block, nil
-		} else {
-			line, block = block[:nl], block[nl+1:]
-		}
-		f := p.filters[i%len(p.filters)]
-		p.wordBuf = p.array.TokenizeLine(p.wordBuf[:0], line)
-		mask, err := f.FeedLineTagged(p.wordBuf)
-		if err != nil {
-			return nil, err
-		}
-		p.rawBytes += uint64(len(line))
-		p.lines++
-		if mask != 0 {
-			p.kept++
-		}
-		masks = append(masks, mask)
-		i++
-	}
-	return masks, nil
+	return append(masks, p.masks...), nil
 }
 
 // FilterBlockTagged is FilterBlock returning, for every kept line, the
 // mask of intersection sets it satisfied. Lines matching no set are
 // filtered out exactly as in FilterBlock.
 func (p *Pipeline) FilterBlockTagged(block []byte) ([]Tagged, error) {
-	if p.filters == nil {
-		return nil, fmt.Errorf("filter: pipeline not configured")
+	if err := p.evalBlock(block); err != nil {
+		return nil, err
 	}
-	var out []Tagged
-	i := 0
-	for len(block) > 0 {
-		nl := bytes.IndexByte(block, '\n')
-		var line []byte
-		if nl < 0 {
-			line, block = block, nil
-		} else {
-			line, block = block[:nl], block[nl+1:]
-		}
-		f := p.filters[i%len(p.filters)]
-		p.wordBuf = p.array.TokenizeLine(p.wordBuf[:0], line)
-		mask, err := f.FeedLineTagged(p.wordBuf)
-		if err != nil {
-			return nil, err
-		}
-		p.rawBytes += uint64(len(line))
-		p.lines++
+	out := make([]Tagged, 0, len(p.keptLines))
+	for _, mask := range p.masks {
 		if mask != 0 {
-			p.kept++
-			out = append(out, Tagged{Line: line, Mask: mask})
+			out = append(out, Tagged{Line: p.keptLines[len(out)], Mask: mask})
 		}
-		i++
 	}
 	return out, nil
 }

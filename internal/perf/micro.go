@@ -10,7 +10,6 @@ import (
 	"mithrilog/internal/loggen"
 	"mithrilog/internal/lzah"
 	"mithrilog/internal/query"
-	"mithrilog/internal/tokenizer"
 )
 
 // microQuery is the representative filter configuration for the cuckoo
@@ -34,22 +33,6 @@ func measureMicro(ds *loggen.Dataset, opts Options) (MicroResults, error) {
 		iters = 2
 	}
 
-	// --- Tokenizer: stream the whole text through one array, reusing the
-	// word buffer (steady state: the zero-alloc contract).
-	arr := tokenizer.NewArray(0, 0)
-	words := arr.TokenizeBlock(nil, text) // warm: reach steady-state capacity
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		words = arr.TokenizeBlock(words[:0], text)
-	}
-	m.TokenizeMBPerS = mbPerS(int64(len(text))*int64(iters), time.Since(start))
-	perLine := allocsPerOp(4, func() {
-		words = arr.TokenizeBlock(words[:0], text)
-	})
-	m.TokenizeAllocsPerLine = perLine / float64(lines)
-
-	// --- Cuckoo: single lookups over the tokenized stream (hits and
-	// misses in dataset proportions).
 	q, err := query.Parse(microQuery)
 	if err != nil {
 		return m, err
@@ -58,7 +41,47 @@ func measureMicro(ds *loggen.Dataset, opts Options) (MicroResults, error) {
 	if err != nil {
 		return m, err
 	}
-	toks := tokenStream(words)
+	pipe := filter.NewPipeline(filter.PipelineConfig{})
+	if err := pipe.Configure(q); err != nil {
+		return m, err
+	}
+
+	// --- Tokenizer: the fused tokenize-and-probe pass a cold page pays
+	// (Pipeline.FilterBlock), over page-shaped chunks. The kept-lines
+	// buffer is the pipeline's own, so steady state allocates nothing.
+	var chunks [][]byte
+	for off := 0; off < len(text); off += microBlockRawBytes {
+		end := off + microBlockRawBytes
+		if end > len(text) {
+			end = len(text)
+		}
+		chunks = append(chunks, text[off:end])
+	}
+	var scanErr error
+	scanAll := func() {
+		for _, chunk := range chunks {
+			if _, err := pipe.FilterBlock(chunk); err != nil {
+				scanErr = err
+			}
+		}
+	}
+	scanAll() // warm: reach steady-state capacity
+	start := time.Now()
+	for i := 0; i < iters; i++ {
+		scanAll()
+	}
+	m.TokenizeMBPerS = mbPerS(int64(len(text))*int64(iters), time.Since(start))
+	m.TokenizeAllocsPerLine = allocsPerOp(4, scanAll) / float64(lines)
+	if scanErr != nil {
+		return m, scanErr
+	}
+
+	// --- Cuckoo: single lookups over the dataset's tokens (hits and
+	// misses in dataset proportions).
+	var toks [][]byte
+	for _, s := range pipe.Tokenize(text).Words {
+		toks = append(toks, text[s.Off:s.Off+s.Len])
+	}
 	if len(toks) == 0 {
 		return m, fmt.Errorf("perf: token stream empty")
 	}
@@ -80,23 +103,14 @@ func measureMicro(ds *loggen.Dataset, opts Options) (MicroResults, error) {
 	// reused arena pre-grown to the uncompressed size.
 	codec := lzah.NewCodec(lzah.Options{})
 	var blocks [][]byte
-	var rawTotal int64
-	for off := 0; off < len(text); off += microBlockRawBytes {
-		end := off + microBlockRawBytes
-		if end > len(text) {
-			end = len(text)
-		}
-		blocks = append(blocks, codec.Compress(nil, text[off:end]))
-		rawTotal += int64(end - off)
+	rawTotal := int64(len(text))
+	for _, chunk := range chunks {
+		blocks = append(blocks, codec.Compress(nil, chunk))
 	}
 	start = time.Now()
 	for i := 0; i < iters; i++ {
-		for off := 0; off < len(text); off += microBlockRawBytes {
-			end := off + microBlockRawBytes
-			if end > len(text) {
-				end = len(text)
-			}
-			codec.Compress(compressScratch[:0], text[off:end])
+		for _, chunk := range chunks {
+			codec.Compress(compressScratch[:0], chunk)
 		}
 	}
 	m.LZAHCompressMBPerS = mbPerS(rawTotal*int64(iters), time.Since(start))
@@ -134,17 +148,9 @@ func measureMicro(ds *loggen.Dataset, opts Options) (MicroResults, error) {
 
 	// --- Filter warm path: hash-filter pass over pre-tokenized blocks
 	// (what a page-cache hit pays).
-	pipe := filter.NewPipeline(filter.PipelineConfig{})
-	if err := pipe.Configure(q); err != nil {
-		return m, err
-	}
 	var tbs []*filter.TokenizedBlock
-	for off := 0; off < len(text); off += microBlockRawBytes {
-		end := off + microBlockRawBytes
-		if end > len(text) {
-			end = len(text)
-		}
-		tbs = append(tbs, pipe.Tokenize(text[off:end]))
+	for _, chunk := range chunks {
+		tbs = append(tbs, pipe.Tokenize(chunk))
 	}
 	filterAll := func() error {
 		for _, tb := range tbs {
@@ -170,20 +176,6 @@ func measureMicro(ds *loggen.Dataset, opts Options) (MicroResults, error) {
 // compressScratch is a reused compression destination so the compress
 // micro leg measures the codec, not allocator growth.
 var compressScratch = make([]byte, 0, 2*microBlockRawBytes)
-
-// tokenStream extracts complete single-word tokens from a word stream as
-// byte slices aliasing the words (multi-word tokens are skipped: the
-// micro leg measures lookup cost, not reassembly).
-func tokenStream(words []tokenizer.Word) [][]byte {
-	var out [][]byte
-	for i := range words {
-		w := &words[i]
-		if w.LastOfToken && w.Len > 0 {
-			out = append(out, w.Data[:w.Len])
-		}
-	}
-	return out
-}
 
 // mbPerS converts processed bytes and elapsed time to MB/s.
 func mbPerS(bytes int64, elapsed time.Duration) float64 {

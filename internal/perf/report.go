@@ -139,9 +139,12 @@ type RegexPoint struct {
 // MicroResults are single-goroutine microbenchmarks of the three scan-path
 // engines, with allocation discipline measured directly.
 type MicroResults struct {
-	// TokenizeMBPerS streams dataset lines through one tokenizer Array.
+	// TokenizeMBPerS runs the fused tokenize-and-probe pass a cold page
+	// pays (Pipeline.FilterBlock) over page-sized blocks, in raw-text
+	// MB/s. Runs recorded before the span representation streamed lines
+	// through the word tokenizer alone here.
 	TokenizeMBPerS float64 `json:"tokenize_mb_per_s"`
-	// TokenizeAllocsPerLine is steady-state allocations per tokenized
+	// TokenizeAllocsPerLine is that pass's steady-state allocations per
 	// line (the zero-alloc target of the raw-speed pass).
 	TokenizeAllocsPerLine float64 `json:"tokenize_allocs_per_line"`
 	// CuckooLookupNs is ns per single LookupBytes over a token stream.

@@ -12,18 +12,19 @@ import (
 
 // PageCache is the byte-bounded LRU implementation of core.PageCache: a
 // model of DRAM on the accelerator side of the device holding decompressed
-// data pages together with their tokenized word streams. A hit saves the
+// data pages together with the spans of their tokens. A hit saves the
 // internal-link flash read, the LZAH decompression, and the tokenization —
 // the cached page re-enters the filter pipeline directly at the hash
 // filters, which is where repeated scans of hot pages spend their time;
 // the cross-query reuse the single-query engine cannot exploit.
 //
 // Entries are whole tokenized pages keyed by storage.PageID. Eviction is
-// strict LRU by total resident bytes (text plus token stream; see
-// filter.TokenizedBlock.MemSize). InvalidateAll (called by the engine at
-// every flush boundary) empties the cache. All methods are safe for
-// concurrent use; Get returns the cached block itself, which callers must
-// treat as read-only (the engine's scan path only reads).
+// strict LRU by total resident bytes (the capacity of the text, span and
+// line-end arrays; see filter.TokenizedBlock.MemSize). InvalidateAll
+// (called by the engine at every flush boundary) empties the cache. All
+// methods are safe for concurrent use; Get returns the cached block
+// itself, which callers must treat as read-only (the engine's scan path
+// only reads).
 type PageCache struct {
 	mu       sync.Mutex
 	maxBytes int64 // immutable after New (read before the lock in Put)
@@ -125,8 +126,7 @@ func (c *PageCache) Len() int {
 	return c.ll.Len()
 }
 
-// Bytes reports the resident bytes currently held (text plus token
-// streams).
+// Bytes reports the resident bytes currently held (Σ MemSize).
 func (c *PageCache) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -158,7 +158,7 @@ func (c *PageCache) RegisterMetrics(reg *obs.Registry) {
 		"Whole-cache invalidations at ingest flush boundaries.",
 		nil, func() float64 { return float64(c.invalidations.Load()) })
 	reg.GaugeFunc("mithrilog_cache_bytes",
-		"Resident bytes (text plus token streams) in the page cache.",
+		"Resident bytes (page text, token spans and line ends, by backing-array capacity) in the page cache.",
 		nil, func() float64 { return float64(c.Bytes()) })
 	reg.GaugeFunc("mithrilog_cache_pages",
 		"Pages currently resident in the page cache.",

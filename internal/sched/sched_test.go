@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,7 @@ import (
 
 	"mithrilog/internal/core"
 	"mithrilog/internal/filter"
+	"mithrilog/internal/loggen"
 	"mithrilog/internal/query"
 )
 
@@ -70,6 +72,52 @@ func TestPageCacheRejectsOversized(t *testing.T) {
 	if c.Len() != 0 {
 		t.Fatal("empty page retained")
 	}
+}
+
+// TestCacheBytesAreHeapBytes holds the cache's byte accounting to the
+// allocator's: filling the cache with a dataset's tokenized pages must
+// grow the live heap by what Bytes() then reports (Σ TokenizedBlock.MemSize)
+// to within 10 %. The slack covers size-class rounding and the cache's own
+// map and list nodes; a representation charged by len instead of cap, or a
+// backing array MemSize forgets, does not fit in it.
+func TestCacheBytesAreHeapBytes(t *testing.T) {
+	cache := NewPageCache(256 << 20)
+	eng := core.NewEngine(core.Config{PageCache: cache})
+	if err := eng.Ingest(loggen.Generate(loggen.BGL2, 40000, 0).Lines); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	fill := func() {
+		if _, err := eng.Search(query.MustParse(`FATAL`), core.SearchOptions{NoIndex: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Two collections empty the scan-state pool (and its victim cache), so
+	// both readings see the same heap but for the cached pages.
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	fill() // first-use growth (pipelines, decoders) happens here
+	cache.InvalidateAll()
+	before := liveHeap()
+	fill()
+	grown := float64(liveHeap() - before)
+	charged := float64(cache.Bytes())
+	if cache.Len() == 0 || charged < 4<<20 {
+		t.Fatalf("cache holds %d pages, %.0f bytes: too little to measure", cache.Len(), charged)
+	}
+	t.Logf("heap grew %.0f, cache charges %.0f, ratio %.3f", grown, charged, grown/charged)
+	if ratio := grown / charged; ratio < 0.9 || ratio > 1.1 {
+		t.Errorf("filling the cache grew the live heap by %.0f bytes; the cache charges %.0f (heap/charged = %.3f, want within 10%%)",
+			grown, charged, ratio)
+	}
+	runtime.KeepAlive(eng)
 }
 
 // buildSched assembles an engine (with cache) and scheduler over n

@@ -34,14 +34,10 @@ func NewArray(n, bytesPerCycle int) *Array {
 	return a
 }
 
-// Size returns the number of tokenizer units.
-func (a *Array) Size() int { return len(a.units) }
-
 // TokenizeLine feeds one line through the array's current round-robin
-// unit, appending its word stream to dst. This is the streaming per-line
-// entry point used by the filter hot path: it is equivalent to a
-// single-line TokenizeLines call without forcing the caller to build a
-// one-element batch slice, and it allocates nothing beyond dst growth.
+// unit, appending its word stream to dst: the streaming per-line entry
+// point of the word model, equivalent to a single-line TokenizeLines call
+// without a one-element batch slice, allocating nothing beyond dst growth.
 //
 //mithrilint:hotpath
 func (a *Array) TokenizeLine(dst []Word, line []byte) []Word {
@@ -50,6 +46,17 @@ func (a *Array) TokenizeLine(dst []Word, line []byte) []Word {
 	dst = unit.TokenizeLine(dst, line)
 	a.account(unit.stats.Cycles - before)
 	return dst
+}
+
+// AccountLine books a line on the array's current round-robin unit from
+// its lengths alone and advances the turn exactly as TokenizeLine does for
+// the same line. It is the scan path's entry point (filter.Pipeline finds
+// tokens in place and builds no Words).
+//
+//mithrilint:hotpath
+func (a *Array) AccountLine(lineLen int, tokens, words, useful uint64) {
+	unit := a.units[a.turnFill%len(a.units)]
+	a.account(unit.accountLine(lineLen, tokens, words, useful))
 }
 
 // TokenizeLines scatters the lines round-robin, tokenizes, and gathers the

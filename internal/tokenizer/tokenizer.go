@@ -13,9 +13,13 @@
 // (Figure 13) and the resulting ~2x data amplification that motivates two
 // hash filters per pipeline.
 //
+// The wall-clock scan path builds no Words: filter.Pipeline finds tokens
+// where they lie in the page and books the same statistics from their
+// lengths (Array.AccountLine), pinned to this model by FuzzSpanVsWord.
+//
 // Allocation discipline: tokenizing a line into a dst slice with grown
-// capacity performs no heap allocation (guarded by TestTokenizeLineZeroAllocs
-// and the perf harness's tokenize micro leg). The tokenize loop also sits
+// capacity performs no heap allocation (guarded by
+// TestTokenizeLineZeroAllocs). The tokenize loop also sits
 // inside the hwpure fence — its cycle accounting is a pure function of the
 // input bytes, flowing only through hwsim's accounting API, with no wall
 // clock, randomness, or map iteration on the path (see LINT.md).
@@ -191,12 +195,25 @@ func (t *Tokenizer) TokenizeLine(dst []Word, line []byte) []Word {
 	} else {
 		dst[len(dst)-1].LastOfLine = true
 	}
+	t.accountLine(n, tokens, words, useful)
+	return dst
+}
+
+// accountLine books one line — lineLen raw bytes in; tokens tokens of
+// useful bytes in all out, on words datapath words (the empty-line marker
+// included) — and returns the unit's ingest cycles for it. The ledger is a
+// function of these four lengths alone.
+func (t *Tokenizer) accountLine(lineLen int, tokens, words, useful uint64) uint64 {
+	cycles := hwsim.CyclesForBytes(uint64(lineLen), uint64(t.bytesPerCycle))
 	t.stats.Lines++
 	t.stats.Tokens += tokens
 	t.stats.Words += words
-	t.stats.InputBytes += uint64(n)
+	t.stats.InputBytes += uint64(lineLen)
 	t.stats.UsefulBytes += useful
 	t.stats.EmittedBytes += words * WordSize
-	hwsim.AddCycles(&t.stats.Cycles, hwsim.CyclesForBytes(uint64(n), uint64(t.bytesPerCycle)))
-	return dst
+	hwsim.AddCycles(&t.stats.Cycles, cycles)
+	return cycles
 }
+
+// WordsFor is the number of datapath words a token of n bytes occupies.
+func WordsFor(n int) uint64 { return uint64(n+WordSize-1) / WordSize }

@@ -86,11 +86,11 @@ type Config struct {
 	// context.DeadlineExceeded. Zero disables it.
 	QueryTimeout time.Duration
 	// CacheBytes sizes the decompressed-page cache: accelerator-side DRAM
-	// holding decompressed data pages with their tokenized word streams,
+	// holding decompressed data pages with the spans of their tokens,
 	// shared across queries, so repeated scans of hot pages skip the flash
 	// read, the LZAH decompression, and the tokenization (e.g. 64 << 20
-	// for 64 MiB; the token stream's ~3-4x amplification over raw text
-	// counts against the bound). Zero disables caching.
+	// for 64 MiB; a cached page costs about 2.3 bytes per byte of raw
+	// text, all of it counted against the bound). Zero disables caching.
 	CacheBytes int64
 
 	// Shards > 1 runs that many independent engines — each with its own

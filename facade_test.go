@@ -1,6 +1,7 @@
 package mithrilog
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -76,6 +77,42 @@ func TestIngestBytes(t *testing.T) {
 	}
 	if res.Matches != 2 {
 		t.Fatalf("matches = %d", res.Matches)
+	}
+}
+
+// TestOversizeLineRejectsWholeBatch pins that a batch holding one line
+// too long for a data page ingests none of its lines, whatever the fleet
+// width or placement: a client that retries the rest must not duplicate.
+func TestOversizeLineRejectsWholeBatch(t *testing.T) {
+	batch := [][]byte{
+		[]byte("okfirst line"),
+		[]byte("toolong " + strings.Repeat("x", 4000)),
+		[]byte("oklast line"),
+	}
+	for _, cfg := range []Config{{}, {Shards: 4}} {
+		for _, tenant := range []string{"", "acme"} {
+			eng := Open(cfg)
+			if err := eng.IngestLines([]string{"base line"}); err != nil {
+				t.Fatal(err)
+			}
+			err := eng.IngestTenant(tenant, batch)
+			if !errors.Is(err, ErrLineTooLong) {
+				t.Fatalf("shards=%d tenant=%q: err = %v, want ErrLineTooLong", cfg.Shards, tenant, err)
+			}
+			if err := eng.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			res, err := eng.Search(`okfirst OR toolong OR oklast`, SearchOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Matches != 0 {
+				t.Errorf("shards=%d tenant=%q: %d lines of the rejected batch ingested", cfg.Shards, tenant, res.Matches)
+			}
+			if got := eng.Stats().Lines; got != 1 {
+				t.Errorf("shards=%d tenant=%q: %d lines stored, want 1", cfg.Shards, tenant, got)
+			}
+		}
 	}
 }
 

@@ -263,11 +263,24 @@ func (e *Engine) Ingest(lines [][]byte) error {
 	return e.ingestLocked(lines)
 }
 
-func (e *Engine) ingestLocked(lines [][]byte) error {
+// CheckLines returns ErrLineTooLong for the first line over MaxLineBytes.
+// Ingest runs it over the whole batch before buffering any line, so a
+// rejected batch leaves no line of it behind; the router runs it before
+// striping a batch across shards.
+func (e *Engine) CheckLines(lines [][]byte) error {
 	for _, line := range lines {
 		if len(line) > e.cfg.MaxLineBytes {
 			return fmt.Errorf("%w: %d bytes", ErrLineTooLong, len(line))
 		}
+	}
+	return nil
+}
+
+func (e *Engine) ingestLocked(lines [][]byte) error {
+	if err := e.CheckLines(lines); err != nil {
+		return err
+	}
+	for _, line := range lines {
 		e.pending = append(e.pending, line)
 		e.pendingBytes += len(line) + 1
 		// Flush when the batch should roughly fill a page at the current

@@ -15,11 +15,11 @@
 //
 // Allocation discipline: the lookup paths — Lookup, LookupBytes, and the
 // batched LookupBatch — allocate nothing (guarded by
-// TestLookupBatchZeroAllocs, the filter's AllocsPerRun pins and the perf
-// harness's cuckoo micro legs); only query compilation allocates. Lookups
-// are also hwpure: results and any cycle-relevant behavior depend only on
-// the table contents and the probed bytes, never on wall clock, randomness,
-// or map iteration order.
+// TestLookupBatchZeroAllocs and the filter's AllocsPerRun pins; timed by
+// the benchmark's cuckoo.lookup_ns and cuckoo.lookup_batch_ns); only query
+// compilation allocates. Lookups are also hwpure: results and any
+// cycle-relevant behavior depend only on the table contents and the probed
+// bytes, never on wall clock, randomness, or map iteration order.
 package cuckoo
 
 import (

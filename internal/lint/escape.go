@@ -1,11 +1,11 @@
 package lint
 
-// This file is the v4 alias/escape layer: a lightweight intraprocedural
-// escape summary with *kinds*, computed bottom-up over the v3 call graph
-// the same way poollife's boolean parameter-escape summary is — but where
-// poollife only needs "does any alias leave the function", the v4
-// analyzers (shardiso, chanflow) need to know *how*: a value returned to
-// the caller is a different finding from one captured by a goroutine.
+// This file is the alias/escape layer shardiso uses: a lightweight
+// intraprocedural escape summary with *kinds*, computed bottom-up over
+// the v3 call graph the same way poollife's boolean parameter-escape
+// summary is — but where poollife only needs "does any alias leave the
+// function", shardiso reports *how*: a value returned to the caller is a
+// different finding from one captured by a goroutine.
 //
 // The kinds form a small bitmask lattice (finite height, so the
 // bottom-up fixpoint terminates):
@@ -15,14 +15,11 @@ package lint
 //	escContainer  inserted into a map/slice element, appended, sent on a
 //	              channel, or placed in a composite literal
 //	escGoroutine  referenced inside a `go` statement (argument or capture)
-//	escUnknown    passed to a call the graph cannot see through
-//	              (stdlib, indirect, interface dispatch, conversions)
 //
-// escUnknown is deliberately separate: analyzers pick their polarity.
-// chanflow must *prove the absence* of a receiver, so an unknown call is
-// as bad as a real escape; shardiso only reports escapes it can *prove*,
-// so unknown edges weaken the proof instead of producing a finding —
-// the same conservatism split as callgraph.go documents.
+// Every kind is a positively-proven escape. A call the graph cannot see
+// through (stdlib, indirect, interface dispatch, conversions) adds
+// nothing: shardiso reports only escapes it can prove, the same
+// conservatism split as callgraph.go documents.
 //
 // Alias tracking reuses poollife's machinery (aliasSetOf,
 // aliasRootedShallow): plain-assignment chains within one body, with
@@ -46,12 +43,10 @@ const (
 	escStore
 	escContainer
 	escGoroutine
-	escUnknown
 )
 
-// escapeProven is every kind that constitutes a positively-proven escape
-// (everything except the can't-tell marker).
-const escapeProven = escReturn | escStore | escContainer | escGoroutine
+// escAll is the lattice top: every kind at once.
+const escAll = escReturn | escStore | escContainer | escGoroutine
 
 func (k escapeKind) String() string {
 	if k == 0 {
@@ -66,7 +61,6 @@ func (k escapeKind) String() string {
 		{escStore, "store"},
 		{escContainer, "container"},
 		{escGoroutine, "goroutine"},
-		{escUnknown, "unknown"},
 	} {
 		if k&e.bit != 0 {
 			parts = append(parts, e.name)
@@ -87,14 +81,7 @@ type escapeFacts struct {
 // argEscape returns the summary mask for one call argument, handling the
 // variadic tail like poollife's scanner does.
 func (ef *escapeFacts) argEscape(key string, arg int) escapeKind {
-	ks := ef.params[key]
-	if len(ks) == 0 {
-		return 0
-	}
-	if arg >= len(ks) {
-		arg = len(ks) - 1
-	}
-	return ks[arg]
+	return argEscapeIn(ef.params, key, arg)
 }
 
 // moduleEscapes returns the program's escape summary, building it on
@@ -121,7 +108,7 @@ func escapeFixpoint(cg *callGraph) map[string][]escapeKind {
 		for _, key := range cg.keys {
 			fd, pkg := cg.decls[key], cg.declPkg[key]
 			for i, p := range params[key] {
-				if p == nil || ef[key][i] == escapeProven|escUnknown {
+				if p == nil || ef[key][i] == escAll {
 					continue
 				}
 				set := aliasSetOf(pkg.Info, fd.Body, p)
@@ -231,13 +218,15 @@ func scanEscapeKinds(info *types.Info, body *ast.BlockStmt, set map[*types.Var]b
 }
 
 // callEscapeKinds classifies one call's effect on the tracked aliases.
+// Builtins other than append, conversions and calls outside the module
+// prove no escape.
 func callEscapeKinds(info *types.Info, call *ast.CallExpr, set map[*types.Var]bool, ef map[string][]escapeKind) escapeKind {
 	rooted := func(e ast.Expr) bool { return aliasRootedShallow(info, set, e) }
+	var mask escapeKind
 
 	// append(other, alias) stores the alias header into another slice;
 	// append(other, alias...) copies elements out (the sanctioned idiom).
 	if isBuiltin(info, call, "append") {
-		var mask escapeKind
 		if call.Ellipsis == token.NoPos {
 			for _, arg := range call.Args[1:] {
 				if rooted(arg) && !rooted(call.Args[0]) {
@@ -247,48 +236,25 @@ func callEscapeKinds(info *types.Info, call *ast.CallExpr, set map[*types.Var]bo
 		}
 		return mask
 	}
-	// Size/shape builtins never retain their argument.
-	for _, name := range []string{"len", "cap", "delete", "close", "new", "make"} {
-		if isBuiltin(info, call, name) {
-			return 0
-		}
-	}
-	// A type conversion yields an alias under a different type; treat a
-	// converted alias as unknown rather than chase it.
-	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
-		for _, arg := range call.Args {
-			if rooted(arg) {
-				return escUnknown
-			}
-		}
+	fn := calleeFunc(info, call)
+	if fn == nil {
 		return 0
 	}
-
-	var mask escapeKind
-	fn := calleeFunc(info, call)
-	var key string
-	inModule := false
-	if fn != nil {
-		key = funcKey(fn)
-		_, inModule = ef[key]
+	key := funcKey(fn)
+	if _, inModule := ef[key]; !inModule {
+		return 0
 	}
 	for i, arg := range call.Args {
-		if !rooted(arg) {
-			continue
+		if rooted(arg) {
+			mask |= argEscapeIn(ef, key, i)
 		}
-		if !inModule {
-			// Stdlib, indirect, or interface call: the graph cannot see
-			// what happens to the argument.
-			mask |= escUnknown
-			continue
-		}
-		mask |= argEscapeIn(ef, key, i)
 	}
 	return mask
 }
 
 // argEscapeIn is escapeFacts.argEscape over the raw fixpoint map (used
-// while the summary is still being built).
+// while the summary is still being built), clamping past-the-end
+// arguments to the variadic tail.
 func argEscapeIn(ef map[string][]escapeKind, key string, arg int) escapeKind {
 	ks := ef[key]
 	if len(ks) == 0 {

@@ -26,7 +26,8 @@ func TestEscapeKinds(t *testing.T) {
 		{"escape/a.sender", 1, 0}, // the channel itself stays put
 		{"escape/a.literal", 0, escContainer},
 		{"escape/a.spawn", 0, escGoroutine},
-		{"escape/a.mystery", 0, escUnknown},
+		// A callee outside the module proves nothing.
+		{"escape/a.mystery", 0, 0},
 		// chain has no escape syntax of its own: the kind arrives
 		// bottom-up from store through the call graph.
 		{"escape/a.chain", 0, escStore},
@@ -61,7 +62,7 @@ func TestEscapeKindString(t *testing.T) {
 		{0, "none"},
 		{escReturn, "return"},
 		{escStore | escGoroutine, "store|goroutine"},
-		{escapeProven | escUnknown, "return|store|container|goroutine|unknown"},
+		{escAll, "return|store|container|goroutine"},
 	}
 	for _, tc := range cases {
 		if got := tc.k.String(); got != tc.want {

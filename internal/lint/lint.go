@@ -17,8 +17,6 @@
 //	poollife      sync.Pool objects released on every path; no alias outlives release
 //	guardedby     `// guarded by <mu>` fields touched only with the mutex provably held
 //	hotalloc      //mithrilint:hotpath functions are statically allocation-free
-//	atomicmix     fields touched via sync/atomic are touched only atomically, module-wide
-//	chanflow      channel protocol soundness: no close/send races, nil sends, or orphan sends
 //	shardiso      `// shard-owned` state never escapes across the router boundary
 //	persistver    persisted streams write one canonical magic/version and check it on decode
 //
@@ -26,10 +24,9 @@
 // a forward-dataflow fixpoint solver (dataflow.go); the v3 analyzers
 // (poollife, guardedby, hotalloc) add a whole-module static call graph
 // (callgraph.go) with bottom-up per-function summaries — locks held at
-// entry, escaping parameters, same-package reachability; the v4
-// analyzers (the last four) add a kinded alias/escape summary layer
-// (escape.go) on top of that call graph — all stdlib-only like the rest
-// of the suite.
+// entry, escaping parameters, same-package reachability; shardiso adds a
+// kinded alias/escape summary layer (escape.go) on top of that call
+// graph — all stdlib-only like the rest of the suite.
 //
 // See LINT.md at the repository root for the rationale behind each
 // invariant and the suppression syntax. The cmd/mithrilint driver runs the
@@ -73,8 +70,6 @@ func Analyzers() []*Analyzer {
 		PoolLifeAnalyzer,
 		GuardedByAnalyzer,
 		HotAllocAnalyzer,
-		AtomicMixAnalyzer,
-		ChanFlowAnalyzer,
 		ShardIsoAnalyzer,
 		PersistVerAnalyzer,
 	}

@@ -73,14 +73,6 @@ func TestHotAllocFixture(t *testing.T) {
 	RunFixture(t, fixtures(t), HotAllocAnalyzer, "hotalloc/a")
 }
 
-func TestAtomicMixFixture(t *testing.T) {
-	RunFixture(t, fixtures(t), AtomicMixAnalyzer, "atomicmix/a")
-}
-
-func TestChanFlowFixture(t *testing.T) {
-	RunFixture(t, fixtures(t), ChanFlowAnalyzer, "chanflow/internal/sched")
-}
-
 func TestShardIsoFixture(t *testing.T) {
 	RunFixture(t, fixtures(t), ShardIsoAnalyzer, "shardiso/a")
 }
@@ -185,8 +177,6 @@ func TestFixtureExclusivity(t *testing.T) {
 		{"poollife/a", "poollife"},
 		{"guardedby/a", "guardedby"},
 		{"hotalloc/a", "hotalloc"},
-		{"atomicmix/a", "atomicmix"},
-		{"chanflow/internal/sched", "chanflow"},
 		{"shardiso/a", "shardiso"},
 		{"persistver/a", "persistver"},
 	}

@@ -359,7 +359,7 @@ func (w *shardWalker) classifyCall(call *ast.CallExpr) {
 		if !w.rooted(arg) {
 			continue
 		}
-		if k := w.ef.argEscape(key, i) & escapeProven; k != 0 {
+		if k := w.ef.argEscape(key, i); k != 0 {
 			w.report(arg.Pos(), "%s passed to %s, whose parameter escapes by %s", w.rootDisplay(arg), fn.Name(), k)
 		}
 	}

@@ -270,6 +270,11 @@ func (r *Router) Ingest(tenant string, lines [][]byte) error {
 	if tenant != "" || n == 1 {
 		return r.shards[shardIndex(tenant, n)].eng.Ingest(lines)
 	}
+	// Every shard shares one engine config: check the whole batch once,
+	// before any shard buffers a line of it.
+	if err := r.shards[0].eng.CheckLines(lines); err != nil {
+		return err
+	}
 	base := r.rr.Add(uint64(len(lines))) - uint64(len(lines))
 	buckets := make([][][]byte, n)
 	for i, line := range lines {

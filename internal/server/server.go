@@ -140,10 +140,13 @@ func writeErr(w http.ResponseWriter, status int, format string, args ...interfac
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// ingestResponse reports an ingest call.
+// ingestResponse reports an ingest call. A batch holding an oversize line
+// is rejected whole with 413; Error is set then and Lines counts the
+// request's lines ingested by the batches before it.
 type ingestResponse struct {
 	Lines         int    `json:"lines"`
 	TotalIngested uint64 `json:"totalIngested"`
+	Error         string `json:"error,omitempty"`
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
@@ -157,7 +160,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	sc := bufio.NewScanner(r.Body)
 	sc.Buffer(make([]byte, 64*1024), 1024*1024)
 	var batch [][]byte
-	n := 0
+	n := 0 // lines of this request ingested so far
 	flush := func() error {
 		if len(batch) == 0 {
 			return nil
@@ -165,17 +168,27 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		if err := s.eng.IngestTenant(tenant, batch); err != nil {
 			return err
 		}
+		n += len(batch)
+		s.ingested.Add(uint64(len(batch)))
 		batch = batch[:0]
 		return nil
+	}
+	fail := func(err error) {
+		if errors.Is(err, mithrilog.ErrLineTooLong) {
+			writeJSON(w, http.StatusRequestEntityTooLarge, ingestResponse{
+				Lines: n, TotalIngested: s.ingested.Load(), Error: fmt.Sprintf("ingest: %v", err),
+			})
+			return
+		}
+		writeErr(w, http.StatusInternalServerError, "ingest: %v", err)
 	}
 	for sc.Scan() {
 		line := make([]byte, len(sc.Bytes()))
 		copy(line, sc.Bytes())
 		batch = append(batch, line)
-		n++
 		if len(batch) == 4096 {
 			if err := flush(); err != nil {
-				writeErr(w, http.StatusInternalServerError, "ingest: %v", err)
+				fail(err)
 				return
 			}
 		}
@@ -185,10 +198,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := flush(); err != nil {
-		writeErr(w, http.StatusInternalServerError, "ingest: %v", err)
+		fail(err)
 		return
 	}
-	s.ingested.Add(uint64(n))
 	writeJSON(w, http.StatusOK, ingestResponse{Lines: n, TotalIngested: s.ingested.Load()})
 }
 

@@ -160,6 +160,49 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
+// TestIngestOversizeLine413 pins /ingest's answer to a batch holding a
+// line too long for a data page: 413, no line of that batch stored, and
+// the count of the request's lines that earlier 4096-line batches did
+// store, so a client knows exactly what to resend.
+func TestIngestOversizeLine413(t *testing.T) {
+	tooLong := "toolong " + strings.Repeat("x", 4000)
+	var prefix strings.Builder
+	for i := 0; i < 4096; i++ {
+		fmt.Fprintf(&prefix, "prefix line %d\n", i)
+	}
+	for _, shards := range []int{1, 4} {
+		ts := httptest.NewServer(New(mithrilog.Open(mithrilog.Config{Shards: shards})))
+		defer ts.Close()
+		post(t, ts.URL+"/ingest", "base line\n")
+		stats := func() uint64 {
+			post(t, ts.URL+"/flush", "")
+			var st statsResponse
+			get(t, ts.URL+"/stats", &st)
+			return st.Lines
+		}
+		for _, c := range []struct {
+			body      string
+			wantLines int
+		}{
+			{"okfirst\n" + tooLong + "\noklast\n", 0},
+			{prefix.String() + "okfirst\n" + tooLong + "\noklast\n", 4096},
+		} {
+			before := stats()
+			resp, body := post(t, ts.URL+"/ingest", c.body)
+			var ir ingestResponse
+			if err := json.Unmarshal(body, &ir); err != nil {
+				t.Fatalf("shards=%d: decode %q: %v", shards, body, err)
+			}
+			if resp.StatusCode != http.StatusRequestEntityTooLarge || ir.Error == "" || ir.Lines != c.wantLines {
+				t.Fatalf("shards=%d: status %d, response %+v; want 413 with lines=%d", shards, resp.StatusCode, ir, c.wantLines)
+			}
+			if after := stats(); after != before+uint64(c.wantLines) {
+				t.Errorf("shards=%d: /stats lines %d -> %d, want +%d", shards, before, after, c.wantLines)
+			}
+		}
+	}
+}
+
 func TestErrorPaths(t *testing.T) {
 	ts, _ := newTestServer(t)
 	cases := []struct {

@@ -53,6 +53,10 @@ var ErrTenantQuota = sched.ErrTenantQuota
 // ErrClosed reports an operation on a closed sharded engine.
 var ErrClosed = router.ErrClosed
 
+// ErrLineTooLong reports an ingest batch holding a line too long for one
+// data page. The batch is rejected whole: none of its lines is ingested.
+var ErrLineTooLong = core.ErrLineTooLong
+
 // Config selects the engine's hardware model and index geometry. The zero
 // value reproduces the paper's prototype: four 16-byte pipelines at
 // 200 MHz, a 256-row/8-set cuckoo table per hash filter, a 16 KiB LZAH

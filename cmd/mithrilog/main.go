@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -109,20 +110,20 @@ func runGrep(args []string) {
 	fs := flag.NewFlagSet("grep", flag.ExitOnError)
 	pattern := fs.String("e", "", "regular expression (required)")
 	store := fs.String("store", "", "query a saved store instead of a log file")
-	limit := fs.Int("limit", 20, "matching lines to print (0 = none)")
+	limit := fs.Int("limit", 20, "matching lines to print, the smallest in byte order (0 = none)")
 	_ = fs.Parse(args)
 	if *pattern == "" {
 		usage()
 	}
 	eng := engineFor(*store, fs)
-	res, err := eng.SearchRegex(*pattern, *limit != 0)
+	res, err := eng.SearchRegexOpts(context.Background(), "", *pattern, mithrilog.RegexOptions{
+		CollectLines: *limit != 0,
+		Limit:        *limit,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	for i, l := range res.Lines {
-		if i == *limit {
-			break
-		}
+	for _, l := range res.Lines {
 		fmt.Println(l)
 	}
 	path := fmt.Sprintf("regex full scan (%d pages)", res.CandidatePages)
@@ -167,7 +168,7 @@ func runSearch(args []string) {
 	expr := fs.String("q", "", "query expression (required)")
 	noIndex := fs.Bool("noindex", false, "bypass the inverted index (full scan)")
 	store := fs.String("store", "", "query a saved store instead of a log file")
-	limit := fs.Int("limit", 20, "matching lines to print (0 = none)")
+	limit := fs.Int("limit", 20, "matching lines to print, the smallest in byte order (0 = none)")
 	explain := fs.Bool("explain", false, "print the simulated timing breakdown")
 	_ = fs.Parse(args)
 	if *expr == "" {
@@ -176,6 +177,7 @@ func runSearch(args []string) {
 	eng := engineFor(*store, fs)
 	res, err := eng.Search(*expr, mithrilog.SearchOptions{
 		CollectLines: *limit != 0,
+		Limit:        *limit,
 		NoIndex:      *noIndex,
 	})
 	if err != nil {
@@ -186,10 +188,7 @@ func runSearch(args []string) {
 		fmt.Printf("-- explain: index %v | stream %v | filter %v (slower of stream/filter binds) | return %v\n",
 			b.Index, b.Stream, b.Filter, b.Return)
 	}
-	for i, l := range res.Lines {
-		if i == *limit {
-			break
-		}
+	for _, l := range res.Lines {
 		fmt.Println(l)
 	}
 	path := "accelerator"

@@ -16,6 +16,11 @@
 // format, so a -save file written at -shards 1 cannot be -load-ed at
 // -shards 4 and vice versa.
 //
+// Search-shaped endpoints take limit=N (default 100; 0 = count only):
+// the engine returns the N smallest matching lines in byte order — the
+// same lines at every -shards value — copying no more than it needs to
+// find them, while matches still counts every matching line.
+//
 // Endpoints are documented in internal/server. Example session:
 //
 //	mithrilogd -addr :8080 &

@@ -522,7 +522,7 @@ func (e *Engine) Export(w io.Writer) (ExportResult, error) {
 		res.RawBytes += uint64(n)
 		return nil, nil, err
 	}
-	if _, err := e.scanPages(nil, st, e.dataPages, false, scanStrategy{link: storage.Internal, workers: 1, eval: forward}); err != nil {
+	if _, err := e.scanPages(nil, st, e.dataPages, false, 0, scanStrategy{link: storage.Internal, workers: 1, eval: forward}); err != nil {
 		return res, err
 	}
 	internal := e.dev.TransferTime(storage.Internal, e.compBytes)

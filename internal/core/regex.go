@@ -19,6 +19,8 @@ const softwareRegexBytesPerSecond = 0.3e9
 type RegexOptions struct {
 	// CollectLines materializes matching lines in the result.
 	CollectLines bool
+	// Limit bounds the collected lines exactly as SearchOptions.Limit does.
+	Limit int
 	// NoPrefilter forces the full decompress-and-scan path even when the
 	// pattern has usable literal factors — the differential oracle's
 	// reference configuration, and an escape hatch.
@@ -31,7 +33,8 @@ type RegexOptions struct {
 type RegexResult struct {
 	// Matches is the number of matching lines.
 	Matches int
-	// Lines holds the matching lines when CollectLines was set.
+	// Lines holds the matching lines when CollectLines was set: at most
+	// Limit of them, in canonical order, when Limit > 0.
 	Lines [][]byte
 
 	// Prefiltered reports whether the literal-factor prefilter ran: the
@@ -160,7 +163,7 @@ func (e *Engine) SearchRegexOpts(pattern string, opts RegexOptions) (RegexResult
 		strategy = scanStrategy{link: storage.External, cache: e.cache, workers: 1, eval: verifyEval(allLines(), re.Match)}
 	}
 	res.CandidatePages = len(candidates)
-	tot, err := e.scanPages(opts.Ctx, st, candidates, opts.CollectLines, strategy)
+	tot, err := e.scanPages(opts.Ctx, st, candidates, opts.CollectLines, opts.Limit, strategy)
 	if err != nil {
 		return res, err
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"slices"
 	"sync"
 
 	"mithrilog/internal/filter"
@@ -82,13 +83,14 @@ func verifyEval(src pageEval, match func(line []byte) bool) pageEval {
 	}
 }
 
-// scanTotals is what a page scan — or, in scanPages, one page of it —
-// adds up to, in the units both result kinds report.
+// scanTotals is what a page scan — or, in scanPages, one worker's share
+// of it — adds up to, in the units both result kinds report. Every count
+// covers all kept lines, however few of them lines holds.
 type scanTotals struct {
 	matches     int
 	verified    int      // lines a host-side matcher evaluated
 	cachedPages int      // pages served from the page cache
-	lines       [][]byte // copies of the kept lines, in page order
+	lines       [][]byte // copies of the collected lines (see scanPages)
 	rawBytes    uint64   // decompressed volume evaluated
 	compBytes   uint64   // compressed volume that crossed the strategy's link
 	retBytes    uint64   // text volume returned to the host
@@ -96,11 +98,25 @@ type scanTotals struct {
 
 // scanPages is the one page-scan executor. It stripes pages over
 // s.workers workers, checking ctx between pages, and aggregates the
-// per-page results in page order, so the output is independent of worker
-// interleaving. Any error — a device fault, a corrupt page, the context —
-// fails the whole scan: the caller gets it and no partial totals.
-func (e *Engine) scanPages(ctx context.Context, st *scanState, pages []storage.PageID, collect bool, s scanStrategy) (scanTotals, error) {
-	outs := make([]scanTotals, len(pages))
+// workers' results so the output is independent of worker interleaving.
+// With collect, the kept lines are copied out: all of them in page order
+// when limit ≤ 0, else the limit smallest in canonical order, each worker
+// keeping a bounded selection so that only lines entering it are copied.
+// Any error — a device fault, a corrupt page, the context — fails the
+// whole scan: the caller gets it and no partial totals.
+func (e *Engine) scanPages(ctx context.Context, st *scanState, pages []storage.PageID, collect bool, limit int, s scanStrategy) (scanTotals, error) {
+	outs := make([]scanTotals, s.workers)
+	var sels []topLines      // per worker, when limited
+	var pageLines [][][]byte // per page, when unlimited
+	switch {
+	case collect && limit > 0:
+		sels = make([]topLines, s.workers)
+		for w := range sels {
+			sels[w].limit = limit
+		}
+	case collect:
+		pageLines = make([][][]byte, len(pages))
+	}
 	var wg sync.WaitGroup
 	errCh := make(chan error, s.workers)
 	for w := 0; w < s.workers; w++ {
@@ -110,14 +126,25 @@ func (e *Engine) scanPages(ctx context.Context, st *scanState, pages []storage.P
 			st.pipes[w].ResetStats()
 			st.decs[w].ResetStats()
 			var raw []byte
+			var kept [][]byte
 			for i := w; i < len(pages); i += s.workers {
 				err := ctxErr(ctx)
 				if err == nil {
-					raw, err = e.scanPage(&s, st, w, pages[i], raw, collect, &outs[i])
+					raw, kept, err = e.scanPage(&s, st, w, pages[i], raw, &outs[w])
 				}
 				if err != nil {
 					errCh <- err
 					return
+				}
+				switch {
+				case sels != nil:
+					for _, l := range kept {
+						sels[w].offer(l)
+					}
+				case pageLines != nil:
+					for _, l := range kept {
+						pageLines[i] = append(pageLines[i], append([]byte(nil), l...))
+					}
 				}
 			}
 		}(w)
@@ -129,40 +156,86 @@ func (e *Engine) scanPages(ctx context.Context, st *scanState, pages []storage.P
 	default:
 	}
 	var tot scanTotals
-	for i := range outs {
-		o := &outs[i]
+	for w := range outs {
+		o := &outs[w]
 		tot.matches += o.matches
 		tot.verified += o.verified
 		tot.cachedPages += o.cachedPages
 		tot.rawBytes += o.rawBytes
 		tot.retBytes += o.retBytes
-		tot.lines = append(tot.lines, o.lines...)
+	}
+	for _, ls := range pageLines {
+		tot.lines = append(tot.lines, ls...)
+	}
+	if sels != nil {
+		for w := range sels {
+			tot.lines = append(tot.lines, sels[w].lines...)
+		}
+		tot.lines = CanonicalLines(tot.lines, limit)
 	}
 	// Only cache misses cross the link as compressed pages.
 	tot.compBytes = uint64(len(pages)-tot.cachedPages) * storage.PageSize
 	return tot, nil
 }
 
-// scanPage takes one page through the datapath on worker w. raw is the
-// worker's reusable decode buffer, returned (possibly regrown) for the
-// next page.
-func (e *Engine) scanPage(s *scanStrategy, st *scanState, w int, pid storage.PageID, raw []byte, collect bool, out *scanTotals) ([]byte, error) {
+// CanonicalLines sorts lines in place into canonical (byte-wise
+// lexicographic) order and returns the first limit of them, or all of
+// them when limit ≤ 0. It is the one order a limited scan selects in and
+// the router merges in, so an answer never depends on page layout, worker
+// count or shard count.
+func CanonicalLines(lines [][]byte, limit int) [][]byte {
+	slices.SortFunc(lines, bytes.Compare)
+	if limit > 0 && len(lines) > limit {
+		lines = lines[:limit]
+	}
+	return lines
+}
+
+// topLines is one worker's bounded selection: the limit smallest lines
+// offered to it, in canonical order. It appends until it holds 2·limit
+// lines, then sorts and cuts back to limit; from then on a line is
+// compared with the largest kept line before it is copied, and skipped
+// unless it is smaller, so only lines that enter the selection are
+// copied. Its buffer grows with the lines it holds, never to limit up
+// front: a client chooses that number.
+type topLines struct {
+	limit int
+	lines [][]byte
+	full  bool // lines[limit-1] is the threshold a line must beat
+}
+
+func (t *topLines) offer(l []byte) {
+	if t.full && bytes.Compare(l, t.lines[t.limit-1]) >= 0 {
+		return
+	}
+	t.lines = append(t.lines, append([]byte(nil), l...))
+	if len(t.lines)/2 >= t.limit { // not 2·limit: that can overflow
+		t.lines = CanonicalLines(t.lines, t.limit)
+		t.full = true
+	}
+}
+
+// scanPage takes one page through the datapath on worker w, adding its
+// totals to out, and returns the lines it kept (valid until the worker's
+// next page). raw is the worker's reusable decode buffer, returned
+// (possibly regrown) for the next page.
+func (e *Engine) scanPage(s *scanStrategy, st *scanState, w int, pid storage.PageID, raw []byte, out *scanTotals) ([]byte, [][]byte, error) {
 	var tb *filter.TokenizedBlock
 	hit := false
 	if s.cache != nil {
 		tb, hit = s.cache.Get(pid)
 	}
 	if hit {
-		out.cachedPages = 1
+		out.cachedPages++
 	} else {
 		page, err := e.dev.View(s.link, pid)
 		if err != nil {
-			return raw, err
+			return raw, nil, err
 		}
 		if s.cache == nil {
 			// Nobody retains the text: decode into the reused buffer.
 			if raw, err = st.decs[w].Decompress(raw[:0], page); err != nil {
-				return raw, err
+				return raw, nil, err
 			}
 		} else {
 			// Decode into a fresh buffer the cache will own, and tokenize
@@ -172,7 +245,7 @@ func (e *Engine) scanPage(s *scanStrategy, st *scanState, w int, pid storage.Pag
 			// exactly the query that issued the read.
 			fresh, err := st.decs[w].Decompress(nil, page)
 			if err != nil {
-				return raw, err
+				return raw, nil, err
 			}
 			tb = st.pipes[w].Tokenize(fresh)
 			s.cache.Put(pid, tb)
@@ -184,9 +257,11 @@ func (e *Engine) scanPage(s *scanStrategy, st *scanState, w int, pid storage.Pag
 	}
 	verified, kept, err := s.eval(w, text, tb)
 	if err != nil {
-		return raw, err
+		return raw, nil, err
 	}
-	out.matches, out.verified, out.rawBytes = len(kept), len(verified), uint64(len(text))
+	out.matches += len(kept)
+	out.verified += len(verified)
+	out.rawBytes += uint64(len(text))
 	returned := kept
 	if s.returnVerified {
 		returned = verified
@@ -194,12 +269,7 @@ func (e *Engine) scanPage(s *scanStrategy, st *scanState, w int, pid storage.Pag
 	for _, l := range returned {
 		out.retBytes += uint64(len(l) + 1)
 	}
-	if collect {
-		for _, l := range kept {
-			out.lines = append(out.lines, append([]byte(nil), l...))
-		}
-	}
-	return raw, nil
+	return raw, kept, nil
 }
 
 // splitLines appends text's newline-separated lines to dst[:0] (the lines

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"math/rand"
 	"regexp"
 	"sort"
 	"sync/atomic"
@@ -50,6 +52,38 @@ func (c *testPageCache) drop(id storage.PageID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.m, id)
+}
+
+// TestTopLinesSelectsCanonicalPrefix offers random lines — with ties and
+// empty lines — to a bounded selection and checks that it ends holding
+// the canonical prefix, for limits below, at and above the line count.
+func TestTopLinesSelectsCanonicalPrefix(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		lines := make([][]byte, rng.Intn(300))
+		for i := range lines {
+			// At most two bytes over {a, b, c}: many ties, some empty.
+			lines[i] = make([]byte, rng.Intn(3))
+			for j := range lines[i] {
+				lines[i][j] = 'a' + byte(rng.Intn(3))
+			}
+		}
+		limit := 1 + rng.Intn(len(lines)+2)
+		sel := topLines{limit: limit}
+		for _, l := range lines {
+			sel.offer(l)
+		}
+		got := CanonicalLines(sel.lines, limit)
+		want := CanonicalLines(append([][]byte(nil), lines...), limit)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d lines selected, want %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("trial %d: line %d = %q, want %q", trial, i, got[i], want[i])
+			}
+		}
+	}
 }
 
 // TestScanStrategyMatrix drives the one page-scan executor through every

@@ -18,6 +18,12 @@ type SearchOptions struct {
 	// CollectLines controls whether matching lines are materialized in
 	// the result (true for user queries; benchmarks may only need counts).
 	CollectLines bool
+	// Limit > 0 bounds the collected lines to the Limit smallest matching
+	// lines in canonical byte order (CanonicalLines); only lines that can
+	// still be among them are copied out of their pages. Matches and every
+	// byte count and simulated time still cover all matching lines.
+	// Limit ≤ 0 collects every matching line, in page order.
+	Limit int
 	// From/To restrict the query to data pages between the snapshot
 	// boundaries enclosing the time range; zero values disable the bound.
 	From, To time.Time
@@ -45,7 +51,8 @@ func ctxErr(ctx context.Context) error {
 type SearchResult struct {
 	// Matches is the number of lines satisfying the query.
 	Matches int
-	// Lines holds the matching lines if CollectLines was set.
+	// Lines holds the matching lines if CollectLines was set: at most
+	// Limit of them, in canonical order, when Limit > 0.
 	Lines [][]byte
 
 	// TotalPages and CandidatePages describe index effectiveness.
@@ -198,7 +205,7 @@ func (e *Engine) Search(q query.Query, opts SearchOptions) (SearchResult, error)
 		reference := func(line []byte) bool { return q.Match(string(line)) }
 		strategy = scanStrategy{link: storage.External, workers: 1, eval: verifyEval(allLines(), reference)}
 	}
-	tot, err := e.scanPages(opts.Ctx, st, candidates, opts.CollectLines, strategy)
+	tot, err := e.scanPages(opts.Ctx, st, candidates, opts.CollectLines, opts.Limit, strategy)
 	if err != nil {
 		scanSpan.End()
 		return res, err

@@ -150,7 +150,7 @@ func (t *Tagger) Run(collectTags bool) (TagResult, error) {
 			}
 			return nil, nil, nil
 		}
-		if _, err := e.scanPages(nil, scan, e.dataPages, false, scanStrategy{link: storage.Internal, workers: 1, eval: tagPage}); err != nil {
+		if _, err := e.scanPages(nil, scan, e.dataPages, false, 0, scanStrategy{link: storage.Internal, workers: 1, eval: tagPage}); err != nil {
 			return res, err
 		}
 		// Simulated pass time: stream all compressed pages at internal

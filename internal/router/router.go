@@ -29,7 +29,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -343,8 +342,10 @@ type Gather struct {
 // Result is a merged scatter-gather search result: the fleet's view of
 // the answering shards' results, in the shape one engine reports, plus
 // the gather summary. Matches and the page counts sum. Lines are in
-// canonical (lexicographic) order so the merged bytes are identical
-// regardless of shard count or gather arrival order. Offloaded /
+// canonical (byte-wise lexicographic) order so the merged bytes are
+// identical regardless of shard count or gather arrival order; with a
+// Limit, each shard returns its Limit smallest lines and the merge keeps
+// the Limit smallest of those, which are the fleet's. Offloaded /
 // UsedIndex hold if they do on every answering shard. Shards scan in
 // parallel, so the slowest binds: SimElapsed and the four simulated
 // components it decomposes into are that shard's. QueueTime is the worst
@@ -471,7 +472,7 @@ func (r *Router) Search(ctx context.Context, tenant string, q query.Query, opts 
 	if err != nil {
 		return Result{}, err
 	}
-	sortLines(m.Lines)
+	m.Lines = core.CanonicalLines(m.Lines, opts.Limit)
 	m.WallElapsed = time.Since(start)
 	return Result{SearchResult: m, Gather: g}, nil
 }
@@ -510,15 +511,9 @@ func (r *Router) SearchRegex(ctx context.Context, tenant, pattern string, opts c
 	if err != nil {
 		return RegexResult{}, err
 	}
-	sortLines(m.Lines)
+	m.Lines = core.CanonicalLines(m.Lines, opts.Limit)
 	m.WallElapsed = time.Since(start)
 	return RegexResult{RegexResult: m, Gather: g}, nil
-}
-
-// sortLines puts merged lines into canonical lexicographic order, making
-// the merged result independent of shard count and gather order.
-func sortLines(lines [][]byte) {
-	sort.Slice(lines, func(i, j int) bool { return string(lines[i]) < string(lines[j]) })
 }
 
 // Stats aggregates fleet-wide content accounting.

@@ -21,6 +21,11 @@
 // alongside the engine, storage, accelerator, scheduler, and page-cache
 // series.
 //
+// limit (default 100) is pushed down into the page scan: the response
+// carries the limit smallest matching lines in canonical byte order — the
+// same lines whatever the shard count — while matches counts every
+// matching line. limit=0 asks for the count alone.
+//
 // Search-shaped endpoints (/search, /trace, /grep) run through the
 // engine's admission-controlled scheduler: a full admission queue or an
 // exhausted per-tenant quota maps to 429 Too Many Requests, an expired
@@ -274,8 +279,9 @@ func searchStatus(err error) int {
 }
 
 // parseLimit parses the limit parameter /search, /trace and /grep share:
-// the cap on returned lines (default 100; 0 asks for counts only). On a
-// malformed value the 400 has already been written to w.
+// the cap on returned lines (default 100; 0 asks for counts only), which
+// the engine applies inside the scan. On a malformed value the 400 has
+// already been written to w.
 func parseLimit(w http.ResponseWriter, r *http.Request) (limit int, ok bool) {
 	v := r.FormValue("limit")
 	if v == "" {
@@ -291,16 +297,16 @@ func parseLimit(w http.ResponseWriter, r *http.Request) (limit int, ok bool) {
 
 // searchParams parses the query parameters shared by /search and /trace.
 // When ok is false the error has already been written to w.
-func searchParams(w http.ResponseWriter, r *http.Request) (expr string, limit int, opts mithrilog.SearchOptions, ok bool) {
+func searchParams(w http.ResponseWriter, r *http.Request) (expr string, opts mithrilog.SearchOptions, ok bool) {
 	expr = r.FormValue("q")
 	if expr == "" {
 		writeErr(w, http.StatusBadRequest, "missing q parameter")
-		return "", 0, opts, false
+		return "", opts, false
 	}
-	if limit, ok = parseLimit(w, r); !ok {
-		return "", 0, opts, false
+	if opts.Limit, ok = parseLimit(w, r); !ok {
+		return "", opts, false
 	}
-	opts.CollectLines = limit > 0
+	opts.CollectLines = opts.Limit > 0
 	opts.NoIndex = r.FormValue("noindex") == "1"
 	opts.Tenant = r.FormValue("tenant")
 	// A hung-up client cancels the scan between pages.
@@ -310,22 +316,18 @@ func searchParams(w http.ResponseWriter, r *http.Request) (expr string, limit in
 			parsed, err := time.Parse(time.RFC3339, v)
 			if err != nil {
 				writeErr(w, http.StatusBadRequest, "bad %s: %v", name, err)
-				return "", 0, opts, false
+				return "", opts, false
 			}
 			*dst = parsed
 		}
 	}
-	return expr, limit, opts, true
+	return expr, opts, true
 }
 
-func toSearchResponse(res mithrilog.Result, limit int) searchResponse {
-	lines := res.Lines
-	if len(lines) > limit {
-		lines = lines[:limit]
-	}
+func toSearchResponse(res mithrilog.Result) searchResponse {
 	return searchResponse{
 		Matches:        res.Matches,
-		Lines:          lines,
+		Lines:          res.Lines,
 		Offloaded:      res.Offloaded,
 		UsedIndex:      res.UsedIndex,
 		CandidatePages: res.CandidatePages,
@@ -343,7 +345,7 @@ func toSearchResponse(res mithrilog.Result, limit int) searchResponse {
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	expr, limit, opts, ok := searchParams(w, r)
+	expr, opts, ok := searchParams(w, r)
 	if !ok {
 		return
 	}
@@ -353,7 +355,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.queries.Add(1)
-	writeJSON(w, http.StatusOK, toSearchResponse(res, limit))
+	writeJSON(w, http.StatusOK, toSearchResponse(res))
 }
 
 // traceResponse reports a traced query: the usual search result plus the
@@ -364,7 +366,7 @@ type traceResponse struct {
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	expr, limit, opts, ok := searchParams(w, r)
+	expr, opts, ok := searchParams(w, r)
 	if !ok {
 		return
 	}
@@ -375,7 +377,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	s.queries.Add(1)
 	writeJSON(w, http.StatusOK, traceResponse{
-		Result: toSearchResponse(res, limit),
+		Result: toSearchResponse(res),
 		Trace:  trace,
 	})
 }
@@ -401,6 +403,7 @@ func (s *Server) handleGrep(w http.ResponseWriter, r *http.Request) {
 	}
 	opts := mithrilog.RegexOptions{
 		CollectLines: limit > 0,
+		Limit:        limit,
 		NoPrefilter:  r.FormValue("noprefilter") != "",
 	}
 	res, err := s.eng.SearchRegexOpts(r.Context(), r.FormValue("tenant"), pattern, opts)
@@ -409,14 +412,10 @@ func (s *Server) handleGrep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.queries.Add(1)
-	lines := res.Lines
-	if len(lines) > limit {
-		lines = lines[:limit]
-	}
 	writeJSON(w, http.StatusOK, grepResponse{
 		searchResponse: searchResponse{
 			Matches:        res.Matches,
-			Lines:          lines,
+			Lines:          res.Lines,
 			UsedIndex:      res.Prefiltered,
 			CandidatePages: res.CandidatePages,
 			TotalPages:     res.TotalPages,

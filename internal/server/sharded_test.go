@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"sort"
 	"strings"
 	"testing"
 
@@ -52,6 +53,54 @@ func TestShardedIngestSearchCycle(t *testing.T) {
 	}
 	if len(tr.Lines) != 1 || !strings.HasPrefix(tr.Lines[0], "acme alpha") {
 		t.Fatalf("tenant search lines: %v", tr.Lines)
+	}
+}
+
+// TestLimitedLinesIndependentOfWidth feeds the same lines to a single
+// engine and a 4-shard fleet: a limited /search, /trace and /grep must
+// return the same lines from both — the smallest matching lines in byte
+// order — and count every match.
+func TestLimitedLinesIndependentOfWidth(t *testing.T) {
+	var lines []string
+	for i := 0; i < 200; i++ {
+		lines = append(lines, fmt.Sprintf("node%03d job %d done", (i*37)%200, i%13))
+	}
+	single, _ := newTestServer(t)
+	fleet, _ := newShardedServer(t, mithrilog.Config{})
+	for _, ts := range []*httptest.Server{single, fleet} {
+		post(t, ts.URL+"/ingest", strings.Join(lines, "\n"))
+	}
+	want := append([]string(nil), lines...)
+	sort.Strings(want)
+	want = want[:5]
+	for _, path := range []string{
+		"/search?q=job&limit=5",
+		"/trace?q=job&limit=5",
+		"/grep?limit=5&e=" + url.QueryEscape(` job \d+ `),
+	} {
+		var got [2]searchResponse
+		for i, ts := range []*httptest.Server{single, fleet} {
+			var code int
+			if strings.HasPrefix(path, "/trace") {
+				var tr traceResponse
+				code = get(t, ts.URL+path, &tr)
+				got[i] = tr.Result
+			} else {
+				code = get(t, ts.URL+path, &got[i])
+			}
+			if code != http.StatusOK {
+				t.Fatalf("%s: status %d", path, code)
+			}
+			if got[i].Matches != len(lines) {
+				t.Fatalf("%s: %d matches, want %d", path, got[i].Matches, len(lines))
+			}
+		}
+		if strings.Join(got[0].Lines, "\n") != strings.Join(got[1].Lines, "\n") {
+			t.Errorf("%s: single engine %q, fleet %q", path, got[0].Lines, got[1].Lines)
+		}
+		if strings.Join(got[0].Lines, "\n") != strings.Join(want, "\n") {
+			t.Errorf("%s: lines %q, want %q", path, got[0].Lines, want)
+		}
 	}
 }
 

@@ -314,6 +314,13 @@ func (e *Engine) Snapshot(ts time.Time) error {
 type SearchOptions struct {
 	// CollectLines materializes matching lines in the result.
 	CollectLines bool
+	// Limit > 0 returns only the Limit smallest matching lines in
+	// canonical byte order — the same lines at every fleet width — and the
+	// engine copies no more than it needs to find them. Matches still
+	// counts every matching line. Limit ≤ 0 returns every matching line:
+	// in page (ingest) order on a single engine, canonical order on a
+	// sharded one.
+	Limit int
 	// NoIndex bypasses the inverted index and scans every page (the
 	// §7.4.2 filter-isolation configuration).
 	NoIndex bool
@@ -333,7 +340,8 @@ type SearchOptions struct {
 type Result struct {
 	// Matches is the number of lines satisfying the query.
 	Matches int
-	// Lines holds the matching lines when CollectLines was set.
+	// Lines holds the matching lines when CollectLines was set (see
+	// SearchOptions.Limit for how many and in what order).
 	Lines []string
 	// Offloaded reports whether the accelerator path ran (false = the
 	// query could not be cuckoo-compiled and host software evaluated it).
@@ -451,6 +459,7 @@ func (e *Engine) run(q query.Query, opts SearchOptions, trace *obs.Span) (Result
 	copts := core.SearchOptions{
 		NoIndex:      opts.NoIndex,
 		CollectLines: opts.CollectLines,
+		Limit:        opts.Limit,
 		From:         opts.From,
 		To:           opts.To,
 	}
@@ -616,7 +625,8 @@ func (e *Engine) Stats() Stats {
 type RegexResult struct {
 	// Matches is the number of matching lines.
 	Matches int
-	// Lines holds the matching lines when CollectLines was requested.
+	// Lines holds the matching lines when CollectLines was requested (see
+	// RegexOptions.Limit).
 	Lines []string
 	// Prefiltered reports whether every shard answered via the
 	// literal-factor index prefilter; false means at least one shard
@@ -647,6 +657,8 @@ type RegexResult struct {
 type RegexOptions struct {
 	// CollectLines returns the matching lines, not just the count.
 	CollectLines bool
+	// Limit bounds the returned lines exactly as SearchOptions.Limit does.
+	Limit int
 	// NoPrefilter disables the literal-factor index prefilter and forces
 	// the full scan, mainly for differential testing and measurement.
 	NoPrefilter bool
@@ -682,7 +694,7 @@ func (e *Engine) SearchRegexOpts(ctx context.Context, tenant, pattern string, op
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	copts := core.RegexOptions{CollectLines: opts.CollectLines, NoPrefilter: opts.NoPrefilter}
+	copts := core.RegexOptions{CollectLines: opts.CollectLines, Limit: opts.Limit, NoPrefilter: opts.NoPrefilter}
 	if e.router != nil {
 		res, err := e.router.SearchRegex(ctx, tenant, pattern, copts)
 		if err != nil {

@@ -105,7 +105,7 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 		regexCachedPages: reg.Counter("mithrilog_regex_cached_pages_total",
 			"Regex-scanned pages served from the decompressed-page cache."),
 		regexVerifiedLines: reg.Counter("mithrilog_regex_verified_lines_total",
-			"Lines evaluated by the rex NFA (token-filter survivors when prefiltered)."),
+			"Lines evaluated by the rex matcher (token-filter survivors when prefiltered)."),
 		regexMatches: reg.Counter("mithrilog_regex_matches_total",
 			"Lines matched across all regex queries."),
 		pipelineCycles: reg.CounterVec("mithrilog_hwsim_pipeline_cycles_total",

@@ -48,8 +48,8 @@ type RegexResult struct {
 	// CachedPages is the number of scanned pages served from the
 	// decompressed-page cache.
 	CachedPages int
-	// VerifiedLines is the number of lines the rex NFA evaluated — after
-	// token filtering on the prefiltered path, every line otherwise.
+	// VerifiedLines is the number of lines handed to the rex matcher —
+	// after token filtering on the prefiltered path, every line otherwise.
 	VerifiedLines int
 
 	// ScannedRawBytes is the decompressed volume evaluated.
@@ -101,7 +101,7 @@ func (e *Engine) SearchRegex(pattern string, collect bool) (RegexResult, error) 
 // whole tokens (rex.LiteralFactors), the factors are planned through the
 // inverted index exactly like a token query: only candidate pages are
 // decompressed, the filter pipelines drop candidate lines missing the
-// required tokens, and the rex NFA runs on the survivors. Patterns with
+// required tokens, and the rex matcher runs on the survivors. Patterns with
 // no usable factors (`.*`, pure classes, unbounded literals) fall back to
 // the full decompress-and-scan; both paths return identical results.
 func (e *Engine) SearchRegexOpts(pattern string, opts RegexOptions) (RegexResult, error) {
@@ -144,9 +144,9 @@ func (e *Engine) SearchRegexOpts(pattern string, opts RegexOptions) (RegexResult
 		// The index-accelerated datapath: plan the factor query into
 		// candidate pages, stream them through the decompress + tokenize +
 		// hash-filter pipeline (sharing the decompressed-page cache with
-		// token queries, so candidate pages warm the LRU), and NFA-verify
+		// token queries, so candidate pages warm the LRU), and rex-verify
 		// only the surviving lines. If the factor query cannot be compiled
-		// into the cuckoo tables the token filter is skipped and the NFA
+		// into the cuckoo tables the token filter is skipped and rex
 		// verifies every candidate line — page-level pruning still applies.
 		res.Prefiltered = true
 		if candidates, res.IndexTime, _, err = e.plan(fq, SearchOptions{}); err != nil {

@@ -61,9 +61,10 @@ func allLines() pageEval {
 }
 
 // verifyEval runs a host-side matcher over the lines src keeps: the
-// reference query matcher (software fallback), or the rex NFA over either
-// the token filter's survivors (filter-then-verify) or every line (NFA
-// only). The closure's scratch — like rex.Regexp's own, which makes Match
+// reference query matcher (software fallback), or the rex matcher — its
+// literal gate, then its lazy DFA — over either the token filter's
+// survivors (filter-then-verify) or every line (regex only). The
+// closure's scratch — like rex.Regexp's DFA cache, which makes Match
 // unsafe for concurrent use — is per evaluator, so strategies built on
 // verifyEval or allLines run one worker.
 func verifyEval(src pageEval, match func(line []byte) bool) pageEval {

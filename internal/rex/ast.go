@@ -4,10 +4,11 @@ import "fmt"
 
 // The parser produces a small AST rather than emitting NFA states
 // directly, so the grammar has a single definition shared by the two
-// consumers: Thompson compilation (compile.go logic in rex.go) and
-// literal-factor extraction (factors.go). Both walk the same tree, which
-// keeps the prefilter's view of a pattern structurally identical to what
-// the matcher executes.
+// consumers: Thompson compilation (compile.go logic in rex.go) and the
+// template analysis behind literal-factor extraction and Match's literal
+// gate (factors.go). Both walk the same tree, which keeps the
+// prefilter's view of a pattern structurally identical to what the
+// matcher executes.
 
 type astOp uint8
 

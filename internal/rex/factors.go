@@ -1,6 +1,8 @@
 package rex
 
 import (
+	"bytes"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -85,6 +87,54 @@ func LiteralFactors(pattern string) Factors {
 		f.Conjuncts = append(f.Conjuncts, conj)
 	}
 	return f
+}
+
+// maxGateLiterals caps the literals of Match's gate: a line the gate
+// rejects is searched once per literal.
+const maxGateLiterals = 4
+
+// gateLiterals derives Match's required-literal gate from the same
+// templates LiteralFactors reads: for each alternative, its longest run of
+// known bytes. A run of segByte is contiguous matched text, so every line
+// the pattern matches contains the run of the alternative it follows — and
+// unlike a factor token, a run needs no delimiter on either side, so
+// patterns with no usable factors get a gate too. It returns nil (no gate)
+// when some alternative has no run of minFactorToken bytes or the distinct
+// runs number more than maxGateLiterals.
+func gateLiterals(tree *astNode) [][]byte {
+	var lits [][]byte
+	for _, t := range analyze(tree) {
+		run := longestRun(t)
+		if len(run) < minFactorToken {
+			return nil
+		}
+		if !slices.ContainsFunc(lits, func(l []byte) bool { return bytes.Equal(l, run) }) {
+			lits = append(lits, run)
+		}
+	}
+	if len(lits) > maxGateLiterals {
+		return nil
+	}
+	return lits
+}
+
+// longestRun returns the first longest run of segByte in a template.
+func longestRun(t template) []byte {
+	bestAt, bestLen, at := 0, 0, 0
+	for i, s := range t {
+		if s.kind != segByte {
+			at = i + 1
+			continue
+		}
+		if n := i + 1 - at; n > bestLen {
+			bestAt, bestLen = at, n
+		}
+	}
+	run := make([]byte, bestLen)
+	for i := range run {
+		run[i] = t[bestAt+i].b
+	}
+	return run
 }
 
 // The analysis abstracts each way a subpattern can match as a "template":

@@ -2,6 +2,7 @@ package rex
 
 import (
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -99,6 +100,35 @@ func normalizeConjuncts(cs [][]string) []string {
 		}
 	}
 	return out
+}
+
+// TestGateLiterals pins the literal gates of the benchmark's regex_grep
+// patterns — including the no-factor fallback — and a gate-free pattern.
+func TestGateLiterals(t *testing.T) {
+	cases := []struct {
+		pattern string
+		want    []string // nil means no gate
+	}{
+		{`core\.[0-9]+`, []string{"core."}},
+		{` ECC error at address 0x[0-9a-f]+`, []string{"address"}},
+		{` (lustre recovery|NFS server not) `, []string{"recovery", "server"}},
+		{` connection refused from `, []string{"connection"}},
+		{`[0-9]+\.[0-9]+`, nil},
+		{`^a|b`, nil},
+		{`(ab|cd|ef|gh|ij) xyz`, []string{"xyz"}}, // five alternatives, one longest run
+		{`abc(d|e|f|g|h)`, nil},                   // five distinct runs
+		{`ab.cd`, nil},                            // runs shorter than minFactorToken
+	}
+	for _, tc := range cases {
+		var got []string
+		for _, l := range MustCompile(tc.pattern).gate {
+			got = append(got, string(l))
+		}
+		sort.Strings(got)
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("gate of %q = %q, want %q", tc.pattern, got, tc.want)
+		}
+	}
 }
 
 func TestLiteralFactorsMalformed(t *testing.T) {

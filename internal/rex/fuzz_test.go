@@ -25,16 +25,26 @@ func FuzzCompileAndMatch(f *testing.F) {
 // patterns and inputs: extraction never panics, never emits tokens the
 // engine's tokenizer could not index (empty or delimiter-containing),
 // and never under-approximates — any line rex matches must contain every
-// token of some satisfied conjunct. Over-approximation is fine (the NFA
+// token of some satisfied conjunct. Over-approximation is fine (the DFA
 // verifies survivors); a violation here would make the index prefilter
-// silently drop matches.
+// silently drop matches. The same holds for Match's literal gate: any line
+// the ungated DFA matches contains one of the gate's literals.
 func FuzzLiteralFactors(f *testing.F) {
 	f.Add(` ERROR (conn|sock) timeout.*`, " ERROR sock timeout now")
 	f.Add(`^ERROR: .*`, "XERROR conn timeout")
 	f.Add(` +[EW]ARN( details)? `, "prefix WARN details suffix")
 	f.Add(`\d+ fault`, "- 42 page fault ")
 	f.Add("\tFATAL\t", "col\tFATAL\tcol")
+	f.Add(`core\.[0-9]+`, "dump core.42\ncore")
 	f.Fuzz(func(t *testing.T, pattern, input string) {
+		if re, err := Compile(pattern); err == nil && re.gate != nil {
+			for _, line := range strings.Split(input, "\n") {
+				if re.dfa.match([]byte(line)) && !containsAny([]byte(line), re.gate) {
+					t.Fatalf("pattern %q matches line %q, which holds none of the gate literals %q",
+						pattern, line, re.gate)
+				}
+			}
+		}
 		factors := LiteralFactors(pattern)
 		for _, conj := range factors.Conjuncts {
 			for _, tok := range conj {

@@ -1,10 +1,13 @@
 // Package rex is a compact regular expression engine used for the
 // paper's §8 extension target: "matching other template structures such
-// as regular expressions". It implements Thompson construction to an NFA
-// and the standard two-list simulation, giving linear-time matching with
-// no backtracking — the same guarantee hardware regex accelerators (HARE
-// [13], and the FPGA regex literature the paper cites) provide, which is
-// what makes the software fallback's cost model predictable.
+// as regular expressions". Patterns are compiled to a Thompson NFA, which
+// a lazy DFA over byte classes executes (dfa.go): DFA states are built on
+// first use and kept in a cache of bounded size, so matching is linear in
+// the input with no backtracking — the same guarantee hardware regex
+// accelerators (HARE [13], and the FPGA regex literature the paper cites)
+// provide, which is what makes the software fallback's cost model
+// predictable. Before the DFA runs, a required-literal gate rejects a
+// line that contains none of the literal runs every match must contain.
 //
 // Supported syntax: literals, '.', character classes '[a-z0-9_]' with
 // negation '[^...]', escapes (\d \w \s \. etc.), grouping '(...)',
@@ -12,12 +15,14 @@
 // Matching is unanchored substring search unless anchors are used.
 //
 // Patterns are parsed to an AST (ast.go) that is shared by two
-// consumers: the Thompson compiler below, and the literal-factor
-// extraction in factors.go that the engine uses to prefilter pages
-// through the inverted index before running the NFA.
+// consumers: the Thompson compiler below, and the template analysis in
+// factors.go, which yields both the literal factors the engine uses to
+// prefilter pages through the inverted index and the literals of the
+// gate in Match.
 package rex
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 )
@@ -64,17 +69,28 @@ func (bc *byteClass) contains(b byte) bool {
 	return in != bc.neg
 }
 
-// Regexp is a compiled pattern.
-type Regexp struct {
-	pattern  string
-	states   []state
-	start    int32
-	anchored bool // pattern begins with ^
+// consumes reports whether a byte-consuming state accepts c; assertion,
+// split and match states consume nothing.
+func (st *state) consumes(c byte) bool {
+	switch st.op {
+	case opChar:
+		return st.c == c
+	case opClass:
+		return st.class.contains(c)
+	case opAny:
+		return c != '\n'
+	}
+	return false
+}
 
-	// scratch for the two-list simulation, reused across matches.
-	clist, nlist []int32
-	onList       []uint32
-	gen          uint32
+// Regexp is a compiled pattern. Match keeps its DFA cache in the Regexp,
+// so a Regexp is not safe for concurrent use.
+type Regexp struct {
+	pattern string
+	// gate holds the literals of which every match contains at least one
+	// (gateLiterals); nil when the pattern has no such set.
+	gate [][]byte
+	dfa  dfa
 }
 
 // Pattern returns the source pattern.
@@ -91,16 +107,11 @@ func Compile(pattern string) (*Regexp, error) {
 	// Append the match state and patch the fragment's dangling arrows.
 	match := c.add(state{op: opMatch})
 	c.patch(frag.out, match)
-	re := &Regexp{
+	return &Regexp{
 		pattern: pattern,
-		states:  c.states,
-		start:   frag.start,
-		onList:  make([]uint32, len(c.states)),
-	}
-	if len(pattern) > 0 && pattern[0] == '^' {
-		re.anchored = true
-	}
-	return re, nil
+		gate:    gateLiterals(tree),
+		dfa:     newDFA(c.states, frag.start),
+	}, nil
 }
 
 // MustCompile is Compile that panics on error.
@@ -195,97 +206,21 @@ func (c *compiler) compile(n *astNode) frag {
 // Match reports whether the pattern matches anywhere in b (or at the
 // start/end when anchored).
 func (r *Regexp) Match(b []byte) bool {
-	return r.run(b)
+	if r.gate != nil && !containsAny(b, r.gate) {
+		return false
+	}
+	return r.dfa.match(b)
 }
 
 // MatchString is Match over a string.
 func (r *Regexp) MatchString(s string) bool {
-	return r.run([]byte(s))
+	return r.Match([]byte(s))
 }
 
-// run is the two-list NFA simulation: O(len(input) × states).
-func (r *Regexp) run(input []byte) bool {
-	r.gen++
-	if r.gen == 0 {
-		for i := range r.onList {
-			r.onList[i] = 0
-		}
-		r.gen = 1
-	}
-	r.clist = r.clist[:0]
-	r.addState(&r.clist, r.start, 0, len(input))
-	if r.containsMatch(r.clist) {
-		return true
-	}
-	for pos := 0; pos < len(input); pos++ {
-		c := input[pos]
-		r.nlist = r.nlist[:0]
-		r.gen++
-		if r.gen == 0 {
-			for i := range r.onList {
-				r.onList[i] = 0
-			}
-			r.gen = 1
-		}
-		for _, si := range r.clist {
-			st := &r.states[si]
-			ok := false
-			switch st.op {
-			case opChar:
-				ok = st.c == c
-			case opClass:
-				ok = st.class.contains(c)
-			case opAny:
-				ok = c != '\n'
-			}
-			if ok {
-				r.addState(&r.nlist, st.out, pos+1, len(input))
-			}
-		}
-		if !r.anchored {
-			// Unanchored: keep seeding the start state at every offset.
-			r.addState(&r.nlist, r.start, pos+1, len(input))
-		}
-		r.clist, r.nlist = r.nlist, r.clist
-		if r.containsMatch(r.clist) {
-			return true
-		}
-	}
-	return false
-}
-
-// addState adds a state and its epsilon closure to the list.
-func (r *Regexp) addState(list *[]int32, si int32, pos, inputLen int) {
-	if si < 0 {
-		return
-	}
-	if r.onList[si] == r.gen {
-		return
-	}
-	r.onList[si] = r.gen
-	st := &r.states[si]
-	switch st.op {
-	case opSplit:
-		r.addState(list, st.out, pos, inputLen)
-		r.addState(list, st.out1, pos, inputLen)
-		return
-	case opBOL:
-		if pos == 0 {
-			r.addState(list, st.out, pos, inputLen)
-		}
-		return
-	case opEOL:
-		if pos == inputLen {
-			r.addState(list, st.out, pos, inputLen)
-		}
-		return
-	}
-	*list = append(*list, si)
-}
-
-func (r *Regexp) containsMatch(list []int32) bool {
-	for _, si := range list {
-		if r.states[si].op == opMatch {
+// containsAny reports whether b contains at least one of lits.
+func containsAny(b []byte, lits [][]byte) bool {
+	for _, lit := range lits {
+		if bytes.Contains(b, lit) {
 			return true
 		}
 	}

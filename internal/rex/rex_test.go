@@ -3,6 +3,7 @@ package rex
 import (
 	"math/rand"
 	"regexp"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -35,6 +36,13 @@ func TestBasicMatching(t *testing.T) {
 		{"^abc$", "abcd", false},
 		{"^$", "", true},
 		{"^$", "x", false},
+		// A leading ^ anchors only its own alternative.
+		{"^a|b", "xb", true},
+		{"^a|b", "a", true},
+		{"^a|b", "xa", false},
+		{"(^a)|b", "xb", true},
+		{"b|^a", "xb", true},
+		{"b|^a", "xa", false},
 	}
 	for _, c := range cases {
 		re, err := Compile(c.pattern)
@@ -184,6 +192,57 @@ func TestQuickAgainstStdlib(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDFACacheOverflow runs a pattern whose DFA has 2^15 states, far more
+// than dfaCacheBudget holds, over random a/b lines: answers must stay
+// Go's across cache flushes, and the cache must stay within its budget.
+func TestDFACacheOverflow(t *testing.T) {
+	pattern := "[ab]*a" + strings.Repeat("[ab]", 14) + "$"
+	re := MustCompile(pattern)
+	std := regexp.MustCompile(pattern)
+	rng := rand.New(rand.NewSource(1))
+	line := make([]byte, 0, 4096)
+	for i := 0; i < 3000; i++ {
+		n := rng.Intn(64)
+		if i%100 == 0 {
+			n = 4096
+		}
+		line = line[:0]
+		for j := 0; j < n; j++ {
+			line = append(line, "ab"[rng.Intn(2)])
+		}
+		if got, want := re.Match(line), std.Match(line); got != want {
+			t.Fatalf("line %d (%q): rex %v, Go regexp %v", i, line, got, want)
+		}
+		if re.dfa.bytes > dfaCacheBudget {
+			t.Fatalf("line %d: DFA cache holds %d bytes, budget %d", i, re.dfa.bytes, dfaCacheBudget)
+		}
+	}
+	if re.dfa.flushes == 0 {
+		t.Fatalf("the DFA cache never flushed (%d bytes cached)", re.dfa.bytes)
+	}
+	t.Logf("%d flushes", re.dfa.flushes)
+}
+
+// TestMatchZeroAllocs pins Match's steady state: once a line's states and
+// transitions are cached, matching it again allocates nothing, whether the
+// gate rejects it, the DFA rejects it, or the DFA accepts it.
+func TestMatchZeroAllocs(t *testing.T) {
+	for _, c := range []struct{ pattern, line string }{
+		{` ECC error at address 0x[0-9a-f]+`, "RAS KERNEL FATAL ECC error at address 0x1f2e3d"},
+		{` ECC error at address 0x[0-9a-f]+`, "RAS KERNEL INFO instruction cache parity error corrected"},
+		{` ECC error at address 0x[0-9a-f]+`, "RAS KERNEL INFO ECC error at address 0xZZ"},
+		{`[0-9]+\.[0-9]+`, "- 1131564665 2005.11.09 dn228 Nov 9 12:11:05"},
+		{`[0-9]+\.[0-9]+`, "no decimal number on this line"},
+	} {
+		re := MustCompile(c.pattern)
+		line := []byte(c.line)
+		re.Match(line)
+		if allocs := testing.AllocsPerRun(100, func() { re.Match(line) }); allocs != 0 {
+			t.Errorf("%q on %q: %v allocs per Match, want 0", c.pattern, c.line, allocs)
+		}
 	}
 }
 

@@ -42,7 +42,10 @@ type Config struct {
 	Pipeline filter.PipelineConfig
 	// Index configures the inverted index.
 	Index index.Params
-	// Compression configures the LZAH codec.
+	// Compression configures the LZAH codec. The engine always compresses
+	// with newline alignment, which its page cut relies on, so
+	// DisableNewlineAlign is cleared; the alignment ablation runs at codec
+	// level.
 	Compression lzah.Options
 	// MaxLineBytes rejects pathologically long lines at ingest; lines
 	// must compress into a single page (default 3500).
@@ -59,6 +62,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	c.System = c.System.WithDefaults()
+	c.Compression.DisableNewlineAlign = false
 	if c.MaxLineBytes <= 0 {
 		c.MaxLineBytes = 3500
 	}
@@ -103,17 +107,20 @@ type Engine struct {
 	compBytes uint64           // guarded by mu
 	lineCount uint64           // guarded by mu
 
-	// ingest batching state
-	pending      [][]byte // guarded by mu
-	pendingBytes int      // guarded by mu
-	ratioGuess   float64  // guarded by mu
+	// ingest batching state: the buffered lines, each copied in with its
+	// newline, and where each one ends in pending.
+	pending     []byte  // guarded by mu
+	pendingEnds []int   // guarded by mu
+	ratioGuess  float64 // guarded by mu
 
 	// ingest scratch, reused across pages so the steady-state ingest path
-	// allocates only for first-seen token keys: the concatenated raw group,
-	// the compressed page image, and the per-page distinct-token set.
-	groupBuf []byte              // guarded by mu
-	compBuf  []byte              // guarded by mu
-	seenToks map[string]struct{} // guarded by mu
+	// allocates nothing per line: the compressed image of pending with a
+	// cut at every line end, and the page indexer's distinct-token set and
+	// first-seen token list.
+	compBuf  []byte         // guarded by mu
+	cuts     []lzah.LineCut // guarded by mu
+	pageSet  tokenSet       // guarded by mu
+	pageToks [][]byte       // guarded by mu
 
 	// ingest profiling (wall time per stage)
 	profile IngestProfile // guarded by mu
@@ -281,11 +288,12 @@ func (e *Engine) ingestLocked(lines [][]byte) error {
 		return err
 	}
 	for _, line := range lines {
-		e.pending = append(e.pending, line)
-		e.pendingBytes += len(line) + 1
+		e.pending = append(e.pending, line...)
+		e.pending = append(e.pending, '\n')
+		e.pendingEnds = append(e.pendingEnds, len(e.pending))
 		// Flush when the batch should roughly fill a page at the current
 		// compression ratio estimate.
-		if float64(e.pendingBytes) >= e.ratioGuess*float64(storage.PageSize) {
+		if float64(len(e.pending)) >= e.ratioGuess*float64(storage.PageSize) {
 			if err := e.flushPending(); err != nil {
 				return err
 			}
@@ -333,64 +341,58 @@ func (e *Engine) TakeSnapshot(ts time.Time) error {
 	return e.ix.TakeSnapshot(ts)
 }
 
-// flushPending compresses the largest prefix of pending lines that fits a
-// page, writes it, and indexes its tokens.
+// flushPending writes the largest prefix of pending lines that fits a
+// page and indexes its tokens. It compresses pending once, recording a
+// cut at every line end, then replays the page-fit search on the recorded
+// sizes: start from every pending line and shrink the count in proportion
+// to the overflow, always making progress. A cut is byte-identical to
+// compressing just that prefix, so the pages are the ones compressing
+// each attempt anew would write.
 func (e *Engine) flushPending() error {
-	if len(e.pending) == 0 {
+	if len(e.pendingEnds) == 0 {
 		return nil
 	}
-	n := len(e.pending)
-	var comp []byte
-	for {
-		comp = e.compressGroup(e.pending[:n])
-		if len(comp) <= storage.PageSize {
-			break
-		}
-		// Shrink proportionally to the overflow; always make progress.
-		n = n * storage.PageSize / len(comp)
-		if n < 1 {
-			n = 1
-		}
-		if n == 1 {
-			comp = e.compressGroup(e.pending[:1])
-			if len(comp) > storage.PageSize {
-				return fmt.Errorf("%w: single line compresses to %d bytes", ErrLineTooLong, len(comp))
-			}
-			break
-		}
+	start := time.Now()
+	comp, cuts := e.codec.CompressLines(e.compBuf[:0], e.pending, e.cuts[:0])
+	e.compBuf, e.cuts = comp, cuts
+	n := len(e.pendingEnds)
+	cut := e.cutAfter(n)
+	for cut.Size() > storage.PageSize && n > 1 {
+		n = max(n*storage.PageSize/cut.Size(), 1)
+		cut = e.cutAfter(n)
 	}
-	group := e.pending[:n]
+	if cut.Size() > storage.PageSize {
+		return fmt.Errorf("%w: single line compresses to %d bytes", ErrLineTooLong, cut.Size())
+	}
+	comp = lzah.Cut(comp, cut)
+	compressTime := time.Since(start)
+	e.profile.CompressTime += compressTime
 	id, err := e.store.Append(comp)
 	if err != nil {
 		return err
 	}
 	e.dataPages = append(e.dataPages, id)
 	e.profile.PagesWritten++
-	raw := 0
-	tokens := 0
+	raw := cut.End
 	indexStart := time.Now()
-	e.resetSeenToks()
-	for _, line := range group {
-		raw += len(line) + 1
-		nt, err := e.indexLineTokens(line, id)
-		if err != nil {
-			return err
-		}
-		tokens += nt
+	lines, tokens, err := e.indexPage(e.pending[:raw], id)
+	if err != nil {
+		return err
 	}
 	indexTime := time.Since(indexStart)
 	e.profile.IndexTime += indexTime
 	e.profile.TokensIndexed += uint64(tokens)
 	e.rawBytes += uint64(raw)
 	e.compBytes += uint64(len(comp))
-	e.lineCount += uint64(n)
+	e.lineCount += uint64(lines)
 	// One counter op per aggregate, once per page — ingest lines never pay
 	// per-line instrumentation.
 	e.met.ingestPages.Inc()
-	e.met.ingestLines.Add(float64(n))
+	e.met.ingestLines.Add(float64(lines))
 	e.met.ingestRawBytes.Add(float64(raw))
 	e.met.ingestCompBytes.Add(float64(len(comp)))
 	e.met.ingestTokens.Add(float64(tokens))
+	e.met.ingestCompressSec.Add(compressTime.Seconds())
 	e.met.ingestIndexSec.Add(indexTime.Seconds())
 	// Update the ratio estimate for future batch sizing.
 	if len(comp) > 0 {
@@ -399,79 +401,31 @@ func (e *Engine) flushPending() error {
 			e.ratioGuess = 0.5
 		}
 	}
-	e.pending = e.pending[n:]
-	e.pendingBytes -= raw
-	if len(e.pending) == 0 {
-		e.pending = nil
-		e.pendingBytes = 0
+	// Drop the page's lines from the buffer.
+	e.pending = e.pending[:copy(e.pending, e.pending[raw:])]
+	e.pendingEnds = e.pendingEnds[:copy(e.pendingEnds, e.pendingEnds[n:])]
+	for i := range e.pendingEnds {
+		e.pendingEnds[i] -= raw
 	}
 	return nil
 }
 
-// resetSeenToks prepares the per-page distinct-token set for a new page.
-func (e *Engine) resetSeenToks() {
-	if e.seenToks == nil {
-		e.seenToks = make(map[string]struct{}, 256)
-	} else {
-		clear(e.seenToks)
+// cutAfter returns the recorded cut at the end of the n-th pending line.
+// There is a cut at every newline, so it is cuts[n-1] unless an earlier
+// line holds an embedded newline; a binary search over the ends finds it
+// either way.
+func (e *Engine) cutAfter(n int) lzah.LineCut {
+	end := e.pendingEnds[n-1]
+	lo, hi := 0, len(e.cuts)-1
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if e.cuts[m].End < end {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
-}
-
-// indexLineTokens feeds line's first-seen tokens (per e.seenToks, which
-// the caller resets per page) to the index under page id, returning how
-// many were added. The scan is the inlined form of splitTokens: the
-// `string(tok)` map probe compiles alloc-free, so only first-seen tokens
-// materialize a string (the map key); the index hashes the byte view
-// directly. ReopenEngine re-runs this exact scan over recovered pages, so
-// a reopened index is bit-for-bit equivalent to the original.
-//
-//mithrilint:hotpath
-func (e *Engine) indexLineTokens(line []byte, id storage.PageID) (int, error) {
-	tokens := 0
-	i := 0
-	for i < len(line) {
-		for i < len(line) && (line[i] == ' ' || line[i] == '\t') {
-			i++
-		}
-		start := i
-		for i < len(line) && line[i] != ' ' && line[i] != '\t' {
-			i++
-		}
-		if i == start {
-			continue
-		}
-		tok := line[start:i]
-		if _, dup := e.seenToks[string(tok)]; dup {
-			continue
-		}
-		e.seenToks[string(tok)] = struct{}{}
-		if err := e.ix.AddBytes(tok, id); err != nil {
-			return tokens, err
-		}
-		tokens++
-	}
-	return tokens, nil
-}
-
-// compressGroup LZAH-compresses a line group (newline separated) into the
-// engine's reused scratch buffers; the returned slice is valid until the
-// next call (the device copies pages on write).
-//
-//mithrilint:hotpath
-func (e *Engine) compressGroup(lines [][]byte) []byte {
-	raw := e.groupBuf[:0]
-	for _, l := range lines {
-		raw = append(raw, l...)
-		raw = append(raw, '\n')
-	}
-	e.groupBuf = raw
-	start := time.Now()
-	out := e.codec.Compress(e.compBuf[:0], raw)
-	e.compBuf = out
-	d := time.Since(start)
-	e.profile.CompressTime += d
-	e.met.ingestCompressSec.Add(d.Seconds())
-	return out
+	return e.cuts[lo]
 }
 
 // Profile returns the accumulated ingest-stage profile.
@@ -479,26 +433,6 @@ func (e *Engine) Profile() IngestProfile {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.profile
-}
-
-// splitTokens tokenizes a line byte slice without converting to string
-// (the allocation shows up at ingest scale).
-func splitTokens(line []byte) []string {
-	var out []string
-	i := 0
-	for i < len(line) {
-		for i < len(line) && (line[i] == ' ' || line[i] == '\t') {
-			i++
-		}
-		start := i
-		for i < len(line) && line[i] != ' ' && line[i] != '\t' {
-			i++
-		}
-		if i > start {
-			out = append(out, string(line[start:i]))
-		}
-	}
-	return out
 }
 
 // Export streams the entire store's decompressed text to w, modeling §3's

@@ -9,9 +9,9 @@ import (
 )
 
 // TestIngestIndexesExactlySplitTokens is the differential oracle for the
-// ingest fast path: flushPending's inlined byte-slice token scan (dedup
-// map probe + Index.AddBytes) must index exactly the tokens the reference
-// splitTokens scan yields. If the inline scan dropped or mangled a token,
+// ingest fast path: the page indexer's SWAR split (per-page token set +
+// Index.AddPage) must index exactly the tokens the reference splitTokens
+// scan yields. If the inline scan dropped or mangled a token,
 // the index would miss pages for it and an indexed search would return
 // fewer lines than the exhaustive NoIndex scan.
 func TestIngestIndexesExactlySplitTokens(t *testing.T) {
@@ -61,4 +61,25 @@ func TestIngestIndexesExactlySplitTokens(t *testing.T) {
 			t.Fatalf("token %q: oracle token never matched", tok)
 		}
 	}
+}
+
+// splitTokens is the reference tokenizer the oracle checks the page
+// indexer against: a line's maximal runs of bytes other than space and
+// tab, by a plain byte loop.
+func splitTokens(line []byte) []string {
+	var out []string
+	i := 0
+	for i < len(line) {
+		for i < len(line) && (line[i] == ' ' || line[i] == '\t') {
+			i++
+		}
+		start := i
+		for i < len(line) && line[i] != ' ' && line[i] != '\t' {
+			i++
+		}
+		if i > start {
+			out = append(out, string(line[start:i]))
+		}
+	}
+	return out
 }

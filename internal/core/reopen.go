@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"io"
 
 	"mithrilog/internal/lzah"
@@ -13,8 +12,8 @@ import (
 // stream format (index.meta sidecar plus checksummed segment blobs);
 // ReopenEngine rebuilds a fully functional engine from that stream alone.
 // The inverted index is deliberately NOT part of the stream: it is
-// rebuilt from the decompressed pages with the exact token scan ingest
-// uses, so the only state that must survive a crash is the sealed,
+// rebuilt from the decompressed pages by the page indexer ingest uses
+// (indexPage), so the only state that must survive a crash is the sealed,
 // checksummed data — the recovery invariant the multi-shard oracle
 // asserts (no accepted line lost, every query answered identically).
 
@@ -35,9 +34,10 @@ func (e *Engine) WriteSegments(w io.Writer) error {
 // WriteSegments. Every segment payload is checksum-verified before a
 // single line is served (storage.OpenSegmentStore rejects the whole
 // stream on any corruption); the index, line counts, and byte totals are
-// reconstructed by decompressing each recovered page and re-running the
-// ingest token scan. Recovery reads cross the device-internal link — on
-// the real hardware the rebuild runs next to the flash, like ingest.
+// reconstructed by decompressing each recovered page and running it
+// through ingest's page indexer. Recovery reads cross the device-internal
+// link — on the real hardware the rebuild runs next to the flash, like
+// ingest.
 func ReopenEngine(cfg Config, r io.Reader) (*Engine, error) {
 	e := NewEngine(cfg)
 	st, err := storage.OpenSegmentStore(e.dev, r)
@@ -63,24 +63,12 @@ func ReopenEngine(cfg Config, r io.Reader) (*Engine, error) {
 		e.dataPages = append(e.dataPages, rec.Page)
 		e.compBytes += uint64(rec.Len)
 		e.profile.PagesWritten++
-		e.resetSeenToks()
-		// Pages store newline-terminated line groups; split exactly as the
-		// scan path does, preserving empty lines.
-		data := raw
-		for len(data) > 0 {
-			line := data
-			if nl := bytes.IndexByte(data, '\n'); nl >= 0 {
-				line = data[:nl]
-				data = data[nl+1:]
-			} else {
-				data = nil
-			}
-			if _, err := e.indexLineTokens(line, rec.Page); err != nil {
-				return nil, err
-			}
-			e.rawBytes += uint64(len(line)) + 1
-			e.lineCount++
+		lines, _, err := e.indexPage(raw, rec.Page)
+		if err != nil {
+			return nil, err
 		}
+		e.rawBytes += uint64(len(raw))
+		e.lineCount += uint64(lines)
 	}
 	if err := e.ix.Flush(); err != nil {
 		return nil, err

@@ -14,7 +14,7 @@ import (
 	"mithrilog/internal/query"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/scan_golden.txt from the current code")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the testdata golden files from the current code")
 
 // TestScanGolden pins the simulated side of the read path — everything a
 // SearchResult reports that the hwsim cycle model or the byte accounting
@@ -37,8 +37,14 @@ func TestScanGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden sweep is not short")
 	}
-	got := scanGolden(t)
-	path := filepath.Join("testdata", "scan_golden.txt")
+	checkGolden(t, "scan_golden.txt", scanGolden(t))
+}
+
+// checkGolden compares got with testdata/name row by row, or rewrites the
+// file under -update-golden.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -58,10 +64,10 @@ func TestScanGolden(t *testing.T) {
 	gotRows, wantRows := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
 	for i := 0; i < len(gotRows) && i < len(wantRows); i++ {
 		if gotRows[i] != wantRows[i] {
-			t.Fatalf("scan golden diverges at row %d:\n got: %s\nwant: %s", i+1, gotRows[i], wantRows[i])
+			t.Fatalf("%s diverges at row %d:\n got: %s\nwant: %s", name, i+1, gotRows[i], wantRows[i])
 		}
 	}
-	t.Fatalf("scan golden has %d rows, want %d", len(gotRows), len(wantRows))
+	t.Fatalf("%s has %d rows, want %d", name, len(gotRows), len(wantRows))
 }
 
 func scanGolden(t *testing.T) []byte {

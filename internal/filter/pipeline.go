@@ -185,6 +185,16 @@ const ( // the delimiters, and the low seven bits, in every byte lane
 // the lane above a zero lane, so " !" would report '!' as a space.
 func zeroBytes(x uint64) uint64 { return ^(((x & low7) + low7) | x | low7) }
 
+// Delimiters returns 0x80 in every byte lane of v (eight text bytes, read
+// little-endian) that holds a newline (nl), and in every lane that holds
+// any token delimiter: space, tab or newline (all). It is the walker's
+// test, exported so that ingest splits page text at exactly the token
+// boundaries the scan path sees.
+func Delimiters(v uint64) (nl, all uint64) {
+	nl = zeroBytes(v ^ newlines)
+	return nl, nl | zeroBytes(v^spaces) | zeroBytes(v^tabs)
+}
+
 // walk is the one pass over page text: eight bytes at a time it finds the
 // tokens (maximal runs of bytes other than space, tab and newline) and the
 // lines (newline-separated; a trailing fragment without one is a line) of
@@ -221,8 +231,8 @@ func (p *Pipeline) walk(block []byte, record bool) {
 			}
 			v = binary.LittleEndian.Uint64(tail[:])
 		}
-		nl := zeroBytes(v ^ newlines)
-		for m := nl | zeroBytes(v^spaces) | zeroBytes(v^tabs); m != 0; m &= m - 1 {
+		nl, delims := Delimiters(v)
+		for m := delims; m != 0; m &= m - 1 {
 			d := i + bits.TrailingZeros64(m)>>3 // the delimiter's offset
 			if l := d - tokStart; l > 0 {
 				if record {

@@ -124,6 +124,11 @@ type Index struct {
 	highData  storage.PageID // highest data page ID seen + 1
 
 	stats Stats
+
+	// AddPage scratch: each token's bucket pair, and the sum of the counts
+	// its touch pass loads (kept so the loads are not dead code).
+	pairs   []bucketPair
+	touched uint64
 }
 
 // Stats describes index activity and footprint.
@@ -220,30 +225,56 @@ func (ix *Index) Add(token string, page storage.PageID) error {
 	return ix.push(target, page)
 }
 
-// AddBytes is Add over a byte-slice token view. The index never stores
-// tokens — only their bucket hashes — so the byte form avoids the
-// per-token string conversion on the ingest hot path. Results are
-// identical to Add(string(tok), page).
-func (ix *Index) AddBytes(tok []byte, page storage.PageID) error {
-	if len(tok) == 0 {
-		return ErrTokenEmpty
+// bucketPair is one token's two candidate buckets.
+type bucketPair struct{ a, b int }
+
+// AddPage records that each of toks — one page's distinct tokens, as byte
+// views — appears in page. The result is identical to calling Add for
+// each token in order. It first hashes every token and loads both of its
+// buckets' counts in one pass of independent loads, so the cache misses
+// into the bucket table overlap instead of each waiting behind the
+// previous token's push; then it makes Add's sequential count-compare and
+// push, in order, since a push changes the counts later tokens compare.
+//
+//mithrilint:hotpath
+func (ix *Index) AddPage(toks [][]byte, page storage.PageID) error {
+	if len(toks) == 0 {
+		return nil
 	}
-	a, b := hashToken(ix, tok)
-	target := a
-	if ix.buckets[b].count < ix.buckets[a].count {
-		target = b
+	pairs := ix.pairs[:0]
+	for _, tok := range toks {
+		if len(tok) == 0 {
+			return ErrTokenEmpty
+		}
+		a, b := hashToken(ix, tok)
+		pairs = append(pairs, bucketPair{a, b})
 	}
-	ix.stats.Adds++
+	ix.pairs = pairs
+	var touched uint64
+	for _, p := range pairs {
+		touched += ix.buckets[p.a].count + ix.buckets[p.b].count
+	}
+	ix.touched = touched
 	if page+1 > ix.highData {
 		ix.highData = page + 1
 	}
-	return ix.push(target, page)
+	for _, p := range pairs {
+		target := p.a
+		if ix.buckets[p.b].count < ix.buckets[p.a].count {
+			target = p.b
+		}
+		ix.stats.Adds++
+		if err := ix.push(target, page); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (ix *Index) push(bi int, page storage.PageID) error {
 	b := &ix.buckets[bi]
 	b.count++
-	if b.leafBuf == nil {
+	if cap(b.leafBuf) == 0 {
 		// Reserve the full node buffer up front: this models the real
 		// ingest memory cost of a partially filled node (§6.1).
 		b.leafBuf = make([]storage.PageID, 0, ix.params.LeafEntries)
@@ -345,7 +376,7 @@ func (ix *Index) rotateLeafPage() error {
 		return err
 	}
 	ix.openLeafID = id
-	if ix.openLeafBuf == nil {
+	if cap(ix.openLeafBuf) == 0 {
 		ix.openLeafBuf = make([]byte, storage.PageSize)
 	} else {
 		for i := range ix.openLeafBuf {
@@ -368,7 +399,7 @@ func (ix *Index) rotateIndexPage() error {
 		return err
 	}
 	ix.openIndexID = id
-	if ix.openIndexBuf == nil {
+	if cap(ix.openIndexBuf) == 0 {
 		ix.openIndexBuf = make([]byte, storage.PageSize)
 	} else {
 		for i := range ix.openIndexBuf {

@@ -27,8 +27,9 @@ import (
 // in the optimization inventory (PERFORMANCE.md):
 //
 //   - `string(b)` as a map index (probe or insert) or comparison
-//     operand: the compiler elides the copy; the seenToks interning
-//     insert is the one sanctioned allocation on ingest.
+//     operand: the compiler elides the copy (a map insert still copies
+//     its key; ingest's per-page token set keys tokens by their span in
+//     the page text instead, so it copies none).
 //   - make inside an `if` whose condition contains cap(): the
 //     grow-on-demand shape (Decompress) that is amortized-free.
 //   - Appends rooted in a parameter, a struct field, or a reslice of

@@ -32,7 +32,6 @@ import (
 	"mithrilog/internal/filter"
 	"mithrilog/internal/hwsim"
 	"mithrilog/internal/index"
-	"mithrilog/internal/lzah"
 	"mithrilog/internal/obs"
 	"mithrilog/internal/query"
 	"mithrilog/internal/router"
@@ -72,8 +71,6 @@ type Config struct {
 	IntersectionSets int
 	// IndexBuckets overrides the inverted index bucket count (default 65536).
 	IndexBuckets int
-	// DisableNewlineAlign turns off LZAH's newline realignment (ablation).
-	DisableNewlineAlign bool
 	// InternalBandwidth / ExternalBandwidth override the simulated device
 	// links, in bytes per second (defaults 4.8e9 / 3.1e9).
 	InternalBandwidth, ExternalBandwidth float64
@@ -130,8 +127,7 @@ func (c Config) toCore() core.Config {
 		Pipeline: filter.PipelineConfig{
 			Table: cuckoo.Config{Rows: c.HashTableRows, Sets: c.IntersectionSets},
 		},
-		Index:       index.Params{Buckets: c.IndexBuckets},
-		Compression: lzah.Options{DisableNewlineAlign: c.DisableNewlineAlign},
+		Index: index.Params{Buckets: c.IndexBuckets},
 	}
 }
 

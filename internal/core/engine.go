@@ -261,6 +261,31 @@ func (e *Engine) IndexMemoryFootprint() int {
 	return e.ix.MemoryFootprint()
 }
 
+// ContentStats is one consistent view of an engine's content accounting.
+type ContentStats struct {
+	Lines            uint64
+	RawBytes         uint64
+	CompressedBytes  uint64
+	DataPages        int
+	IndexMemoryBytes int
+	Segments         storage.SegmentStats
+}
+
+// ContentStats reads every content counter under one read lock, so no
+// flush lands between two of them. Each read is O(1).
+func (e *Engine) ContentStats() ContentStats {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return ContentStats{
+		Lines:            e.lineCount,
+		RawBytes:         e.rawBytes,
+		CompressedBytes:  e.compBytes,
+		DataPages:        len(e.dataPages),
+		IndexMemoryBytes: e.ix.MemoryFootprint(),
+		Segments:         e.store.Stats(),
+	}
+}
+
 // Ingest appends log lines (without trailing newlines) to the store.
 // Lines are buffered and flushed page-by-page; call Flush (or TakeSnapshot)
 // to force out the final partial page.

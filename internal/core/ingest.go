@@ -51,7 +51,11 @@ func (e *Engine) indexPage(text []byte, id storage.PageID) (lines, tokens int, e
 		}
 	}
 	e.pageToks = toks
-	return lines, len(toks), e.ix.AddPage(toks, id)
+	err = e.ix.AddPage(toks, id)
+	// The footprint is a counter read, so mithrilog_index_memory_bytes
+	// tracks ingest page by page instead of waiting for the next flush.
+	e.met.indexMemoryBytes.Set(float64(e.ix.MemoryFootprint()))
+	return lines, len(toks), err
 }
 
 // tokenSet is the per-page set of distinct tokens behind indexPage. Most

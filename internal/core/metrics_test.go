@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -68,6 +69,40 @@ func TestEngineMetrics(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q", want)
 		}
+	}
+}
+
+// TestIndexMemoryGaugeTracksIngest: mithrilog_index_memory_bytes follows
+// the index footprint page by page between flushes, and a reopened engine
+// publishes its rebuilt index's footprint without a flush of its own.
+func TestIndexMemoryGaugeTracksIngest(t *testing.T) {
+	e := NewEngine(Config{})
+	gauge := func(e *Engine) int { return int(e.met.indexMemoryBytes.Value()) }
+	for batch := 0; batch < 4; batch++ {
+		var lines [][]byte
+		for i := 0; i < 400; i++ {
+			lines = append(lines, []byte(fmt.Sprintf("batch%d node%03d RAS KERNEL INFO token%d", batch, i%16, i)))
+		}
+		if err := e.Ingest(lines); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := gauge(e), e.IndexMemoryFootprint(); got != want {
+			t.Fatalf("batch %d, %d pages, no flush: gauge %d, footprint %d", batch, e.DataPages(), got, want)
+		}
+	}
+	if e.DataPages() == 0 {
+		t.Fatal("ingest wrote no page before the flush")
+	}
+	var buf bytes.Buffer
+	if err := e.WriteSegments(&buf); err != nil {
+		t.Fatal(err)
+	}
+	e2, err := ReopenEngine(Config{}, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := gauge(e2), e2.IndexMemoryFootprint(); got != want || got == 0 {
+		t.Fatalf("reopened: gauge %d, footprint %d", got, want)
 	}
 }
 

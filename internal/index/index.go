@@ -125,6 +125,12 @@ type Index struct {
 
 	stats Stats
 
+	// resident is the byte count MemoryFootprint reports. It grows only
+	// where a buffer is allocated (New, reserveBuffers, pageBuf), and no
+	// buffer is ever released or regrown, so it equals a walk over every
+	// bucket without making one.
+	resident int
+
 	// AddPage scratch: each token's bucket pair, and the sum of the counts
 	// its touch pass loads (kept so the loads are not dead code).
 	pairs   []bucketPair
@@ -144,9 +150,10 @@ type Stats struct {
 func New(dev *storage.Device, p Params) *Index {
 	p = p.withDefaults()
 	ix := &Index{
-		params:  p,
-		dev:     dev,
-		buckets: make([]bucket, p.Buckets),
+		params:   p,
+		dev:      dev,
+		buckets:  make([]bucket, p.Buckets),
+		resident: p.Buckets * (24 + 8), // a bucket's header and its table slot
 	}
 	for i := range ix.buckets {
 		ix.buckets[i].head = nilRef
@@ -167,15 +174,10 @@ func (ix *Index) Params() Params { return ix.params }
 func (ix *Index) Stats() Stats { return ix.stats }
 
 // MemoryFootprint estimates the resident bytes of the in-memory structures
-// (the quantity §6 keeps near 256 MB for the full-scale prototype).
-func (ix *Index) MemoryFootprint() int {
-	per := 0
-	for i := range ix.buckets {
-		b := &ix.buckets[i]
-		per += cap(b.leafBuf)*4 + cap(b.rootBuf)*8 + 24
-	}
-	return per + len(ix.openLeafBuf) + len(ix.openIndexBuf) + len(ix.buckets)*8
-}
+// (the quantity §6 keeps near 256 MB for the full-scale prototype): every
+// bucket's header, table slot and node buffers, plus the open leaf and
+// index pages. It is a counter read, O(1) whatever the table size.
+func (ix *Index) MemoryFootprint() int { return ix.resident }
 
 // hash returns the token's two bucket indices.
 func (ix *Index) hash(token string) (int, int) { return hashToken(ix, token) }
@@ -274,12 +276,7 @@ func (ix *Index) AddPage(toks [][]byte, page storage.PageID) error {
 func (ix *Index) push(bi int, page storage.PageID) error {
 	b := &ix.buckets[bi]
 	b.count++
-	if cap(b.leafBuf) == 0 {
-		// Reserve the full node buffer up front: this models the real
-		// ingest memory cost of a partially filled node (§6.1).
-		b.leafBuf = make([]storage.PageID, 0, ix.params.LeafEntries)
-		b.rootBuf = make([]nodeRef, 0, ix.params.RootEntries)
-	}
+	ix.reserveBuffers(b)
 	b.leafBuf = append(b.leafBuf, page)
 	if len(b.leafBuf) >= ix.params.LeafEntries {
 		if err := ix.flushLeaf(b); err != nil {
@@ -287,6 +284,18 @@ func (ix *Index) push(bi int, page storage.PageID) error {
 		}
 	}
 	return nil
+}
+
+// reserveBuffers gives a bucket its full leaf and root node buffers on
+// first use, and counts them resident. Reserving them whole models the
+// real ingest memory cost of a partially filled node (§6.1). push and
+// LoadIndex both allocate through it, so there is one accounting path.
+func (ix *Index) reserveBuffers(b *bucket) {
+	if cap(b.leafBuf) == 0 {
+		b.leafBuf = make([]storage.PageID, 0, ix.params.LeafEntries)
+		b.rootBuf = make([]nodeRef, 0, ix.params.RootEntries)
+		ix.resident += ix.params.LeafEntries*4 + ix.params.RootEntries*8
+	}
 }
 
 // flushLeaf writes the bucket's leaf buffer as a leaf node and registers
@@ -376,13 +385,7 @@ func (ix *Index) rotateLeafPage() error {
 		return err
 	}
 	ix.openLeafID = id
-	if cap(ix.openLeafBuf) == 0 {
-		ix.openLeafBuf = make([]byte, storage.PageSize)
-	} else {
-		for i := range ix.openLeafBuf {
-			ix.openLeafBuf[i] = 0
-		}
-	}
+	ix.openLeafBuf = ix.pageBuf(ix.openLeafBuf)
 	ix.openLeafUsed = 0
 	return nil
 }
@@ -399,15 +402,20 @@ func (ix *Index) rotateIndexPage() error {
 		return err
 	}
 	ix.openIndexID = id
-	if cap(ix.openIndexBuf) == 0 {
-		ix.openIndexBuf = make([]byte, storage.PageSize)
-	} else {
-		for i := range ix.openIndexBuf {
-			ix.openIndexBuf[i] = 0
-		}
-	}
+	ix.openIndexBuf = ix.pageBuf(ix.openIndexBuf)
 	ix.openIndexUsed = 0
 	return nil
+}
+
+// pageBuf returns an open page's buffer zeroed for reuse, or, on first
+// use, a new one counted resident.
+func (ix *Index) pageBuf(buf []byte) []byte {
+	if cap(buf) == 0 {
+		ix.resident += storage.PageSize
+		return make([]byte, storage.PageSize)
+	}
+	clear(buf)
+	return buf
 }
 
 // Flush forces all partial buffers into storage: every bucket's leaf and

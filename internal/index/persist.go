@@ -93,7 +93,11 @@ func (ix *Index) Save() *SavedIndex {
 	return s
 }
 
-// LoadIndex rebuilds an index from saved state on a restored device.
+// LoadIndex rebuilds an index from saved state on a restored device. It
+// allocates through the same helpers as ingest, so the loaded index's
+// MemoryFootprint counts exactly the buffers it holds. Saved state no
+// ingest could leave behind — a node buffer at or past its node's
+// capacity, an open page that is not one page long — is rejected.
 func LoadIndex(dev *storage.Device, s *SavedIndex) (*Index, error) {
 	ix := New(dev, s.Params)
 	if len(s.Buckets) != len(ix.buckets) {
@@ -104,12 +108,15 @@ func LoadIndex(dev *storage.Device, s *SavedIndex) (*Index, error) {
 		if !sb.HasState {
 			continue
 		}
+		if len(sb.LeafBuf) >= ix.params.LeafEntries || len(sb.RootBuf) >= ix.params.RootEntries {
+			return nil, fmt.Errorf("index: saved bucket %d buffers %d leaf and %d root entries, nodes hold %d and %d",
+				i, len(sb.LeafBuf), len(sb.RootBuf), ix.params.LeafEntries, ix.params.RootEntries)
+		}
 		b := &ix.buckets[i]
 		b.count = sb.Count
 		b.head = savedToRef(sb.Head)
 		if len(sb.LeafBuf) > 0 || len(sb.RootBuf) > 0 {
-			b.leafBuf = make([]storage.PageID, 0, ix.params.LeafEntries)
-			b.rootBuf = make([]nodeRef, 0, ix.params.RootEntries)
+			ix.reserveBuffers(b)
 			for _, p := range sb.LeafBuf {
 				b.leafBuf = append(b.leafBuf, storage.PageID(p))
 			}
@@ -118,14 +125,15 @@ func LoadIndex(dev *storage.Device, s *SavedIndex) (*Index, error) {
 			}
 		}
 	}
+	var err error
 	ix.openLeafID = storage.PageID(s.OpenLeafID)
-	if len(s.OpenLeafBuf) > 0 {
-		ix.openLeafBuf = append([]byte(nil), s.OpenLeafBuf...)
+	if ix.openLeafBuf, err = ix.loadPageBuf(s.OpenLeafBuf); err != nil {
+		return nil, err
 	}
 	ix.openLeafUsed = s.OpenLeafUsed
 	ix.openIndexID = storage.PageID(s.OpenIndexID)
-	if len(s.OpenIndexBuf) > 0 {
-		ix.openIndexBuf = append([]byte(nil), s.OpenIndexBuf...)
+	if ix.openIndexBuf, err = ix.loadPageBuf(s.OpenIndexBuf); err != nil {
+		return nil, err
 	}
 	ix.openIndexUsed = s.OpenIndexUsed
 	ix.highData = storage.PageID(s.HighData)
@@ -137,4 +145,18 @@ func LoadIndex(dev *storage.Device, s *SavedIndex) (*Index, error) {
 		})
 	}
 	return ix, nil
+}
+
+// loadPageBuf restores a saved open page into a buffer from pageBuf; a
+// page never opened was saved empty and stays unallocated.
+func (ix *Index) loadPageBuf(saved []byte) ([]byte, error) {
+	switch len(saved) {
+	case 0:
+		return nil, nil
+	case storage.PageSize:
+		buf := ix.pageBuf(nil)
+		copy(buf, saved)
+		return buf, nil
+	}
+	return nil, fmt.Errorf("index: saved open page holds %d bytes, want %d", len(saved), storage.PageSize)
 }

@@ -527,20 +527,40 @@ type Stats struct {
 	Segments         storage.SegmentStats
 }
 
-// Stats sums content accounting over all shards.
+// Stats sums content accounting over all shards. Each shard is read in
+// one consistent snapshot (core.Engine.ContentStats), in O(1).
 func (r *Router) Stats() Stats {
-	st := Stats{Shards: len(r.shards)}
-	for _, sh := range r.shards {
-		st.Lines += sh.eng.Lines()
-		st.RawBytes += sh.eng.RawBytes()
-		st.CompressedBytes += sh.eng.CompressedBytes()
-		st.DataPages += sh.eng.DataPages()
-		st.IndexMemoryBytes += sh.eng.IndexMemoryFootprint()
-		segs := sh.eng.Segments()
-		st.Segments.Sealed += segs.Sealed
-		st.Segments.Active += segs.Active
-		st.Segments.SealedPages += segs.SealedPages
-		st.Segments.ActivePages += segs.ActivePages
+	shards := make([]core.ContentStats, len(r.shards))
+	for i, sh := range r.shards {
+		shards[i] = sh.eng.ContentStats()
+	}
+	return SumStats(shards...)
+}
+
+// SumStats sums per-shard content snapshots into fleet accounting; one
+// snapshot is a width-1 fleet's.
+func SumStats(shards ...core.ContentStats) Stats {
+	st := Stats{Shards: len(shards)}
+	for _, c := range shards {
+		st.Lines += c.Lines
+		st.RawBytes += c.RawBytes
+		st.CompressedBytes += c.CompressedBytes
+		st.DataPages += c.DataPages
+		st.IndexMemoryBytes += c.IndexMemoryBytes
+		st.Segments.Sealed += c.Segments.Sealed
+		st.Segments.Active += c.Segments.Active
+		st.Segments.SealedPages += c.Segments.SealedPages
+		st.Segments.ActivePages += c.Segments.ActivePages
 	}
 	return st
+}
+
+// RawBytes is the fleet's ingested raw bytes: Stats().RawBytes without
+// the other counters, one read lock per shard.
+func (r *Router) RawBytes() uint64 {
+	var n uint64
+	for _, sh := range r.shards {
+		n += sh.eng.RawBytes()
+	}
+	return n
 }

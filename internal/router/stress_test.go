@@ -86,6 +86,29 @@ func TestRouterStress(t *testing.T) {
 		}(g)
 	}
 
+	// A stats reader: every shard is read in one snapshot, so no flush can
+	// land between a shard's compressed bytes and its page count.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			st := r.Stats()
+			if limit := uint64(st.DataPages) * storage.PageSize; st.CompressedBytes > limit {
+				t.Errorf("stats: %d compressed bytes in %d pages (%d bytes)", st.CompressedBytes, st.DataPages, limit)
+				return
+			}
+			if st.IndexMemoryBytes <= 0 {
+				t.Errorf("stats: index footprint %d", st.IndexMemoryBytes)
+				return
+			}
+		}
+	}()
+
 	// Let writers and readers overlap, with periodic flushes making data
 	// visible mid-stress.
 	for i := 0; i < 5; i++ {

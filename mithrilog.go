@@ -483,7 +483,7 @@ func (e *Engine) run(q query.Query, opts SearchOptions, trace *obs.Span) (Result
 			trace.SetAttr("tenant", opts.Tenant)
 		}
 	}
-	return toResult(res.SearchResult, res.Gather, e.router.Stats().RawBytes, opts.CollectLines), nil
+	return toResult(res.SearchResult, res.Gather, e.router.RawBytes(), opts.CollectLines), nil
 }
 
 // toResult translates an engine-shaped search result — a single engine's,
@@ -581,35 +581,26 @@ func (e *Engine) MetricsHandler() http.Handler {
 // Stats reports the engine's current contents (summed across shards on a
 // sharded engine).
 func (e *Engine) Stats() Stats {
+	var st router.Stats
 	if e.router != nil {
-		st := e.router.Stats()
-		out := Stats{
-			Lines:            st.Lines,
-			RawBytes:         st.RawBytes,
-			CompressedBytes:  st.CompressedBytes,
-			DataPages:        st.DataPages,
-			IndexMemoryBytes: st.IndexMemoryBytes,
-			Shards:           st.Shards,
-			SealedSegments:   st.Segments.Sealed,
-			ActiveSegments:   st.Segments.Active,
-		}
-		if st.CompressedBytes > 0 {
-			out.CompressionRatio = float64(st.RawBytes) / float64(st.CompressedBytes)
-		}
-		return out
+		st = e.router.Stats()
+	} else {
+		st = router.SumStats(e.inner.ContentStats())
 	}
-	segs := e.inner.Segments()
-	return Stats{
-		Lines:            e.inner.Lines(),
-		RawBytes:         e.inner.RawBytes(),
-		CompressedBytes:  e.inner.CompressedBytes(),
-		CompressionRatio: e.inner.CompressionRatio(),
-		DataPages:        e.inner.DataPages(),
-		IndexMemoryBytes: e.inner.IndexMemoryFootprint(),
-		Shards:           1,
-		SealedSegments:   segs.Sealed,
-		ActiveSegments:   segs.Active,
+	out := Stats{
+		Lines:            st.Lines,
+		RawBytes:         st.RawBytes,
+		CompressedBytes:  st.CompressedBytes,
+		DataPages:        st.DataPages,
+		IndexMemoryBytes: st.IndexMemoryBytes,
+		Shards:           st.Shards,
+		SealedSegments:   st.Segments.Sealed,
+		ActiveSegments:   st.Segments.Active,
 	}
+	if st.CompressedBytes > 0 {
+		out.CompressionRatio = float64(st.RawBytes) / float64(st.CompressedBytes)
+	}
+	return out
 }
 
 // RegexResult reports a regular-expression scan (a §8 extension: regexes

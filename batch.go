@@ -27,7 +27,7 @@ type BatchResult struct {
 // masks, so N queries cost ceil(totalSets/capacity) scans instead of N.
 func (e *Engine) SearchBatch(queries []Query) (BatchResult, error) {
 	var res BatchResult
-	if e.router != nil {
+	if e.router.NumShards() > 1 {
 		return res, ErrSharded
 	}
 	if len(queries) == 0 {
@@ -47,7 +47,7 @@ func (e *Engine) SearchBatch(queries []Query) (BatchResult, error) {
 			owner = append(owner, qi)
 		}
 	}
-	tagger, err := e.inner.NewTagger(sets)
+	tagger, err := e.router.Shard(0).NewTagger(sets)
 	if err != nil {
 		return res, err
 	}

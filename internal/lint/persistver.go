@@ -11,7 +11,7 @@ package lint
 // The analyzer resolves, per annotated function, which package-level
 // magic/version constants it references (a persistence constant is any
 // const whose name contains "magic" or "version", case-insensitively;
-// aliases like `FleetMagic = fleetMagic` resolve to their canonical
+// aliases like `Magic = fleetMagic` resolve to their canonical
 // const transitively). It then proves, program-wide:
 //
 //  1. every encoder references at least one persistence constant — a
@@ -209,7 +209,7 @@ func (f *pvFacts) viol(pkg *Package, pos token.Pos, format string, args ...inter
 }
 
 // persistAliases maps every const whose initializer is a bare reference
-// to another const (e.g. `FleetMagic = fleetMagic`) to its transitively
+// to another const (e.g. `Magic = fleetMagic`) to its transitively
 // canonical const object.
 func persistAliases(prog *Program) map[*types.Const]*types.Const {
 	direct := make(map[*types.Const]*types.Const)

@@ -1,8 +1,10 @@
 package router
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 
@@ -15,11 +17,8 @@ import (
 // that stream. Each shard's payload is the engine-level segment stream
 // (checksummed segments + index.meta), so the fleet file inherits the
 // same corruption guarantees — any damaged shard fails the reopen, and
-// no shard serves a line that fails its checksum.
-
-// FleetMagic prefixes every fleet stream. The facade peeks it to decide
-// whether a WriteSegments stream reopens as a fleet or a single engine.
-const FleetMagic = fleetMagic
+// no shard serves a line that fails its checksum. A one-shard fleet
+// writes the bare engine stream, with no fleet header.
 
 const (
 	fleetMagic   = "MLFLEET\x00"
@@ -31,7 +30,8 @@ const (
 
 // WriteSegments flushes and seals every shard, then streams the fleet:
 // header (magic, version, shard count), then each shard's segment stream
-// length-prefixed, in shard order.
+// length-prefixed, in shard order. One shard writes its engine stream
+// straight to w.
 //
 //mithrilint:persist encode fleet
 func (r *Router) WriteSegments(w io.Writer) error {
@@ -39,6 +39,9 @@ func (r *Router) WriteSegments(w io.Writer) error {
 		return err
 	}
 	defer r.active.Done()
+	if len(r.shards) == 1 {
+		return r.shards[0].eng.WriteSegments(w)
+	}
 	var hdr []byte
 	hdr = append(hdr, fleetMagic...)
 	hdr = binary.LittleEndian.AppendUint32(hdr, fleetVersion)
@@ -64,19 +67,27 @@ func (r *Router) WriteSegments(w io.Writer) error {
 	return nil
 }
 
-// Reopen rebuilds a fleet from a stream produced by WriteSegments. The
-// shard count comes from the stream (overriding cfg.Shards): placement
-// is consistent only with the same shard count, so reopening into a
-// different fleet width would silently misroute tenants.
+// Reopen rebuilds a router from a stream produced by WriteSegments. The
+// stream's shape decides the width: a fleet stream reopens with the shard
+// count recorded at write time (overriding cfg.Shards — placement is
+// consistent only with the same shard count, so reopening into a
+// different width would silently misroute tenants), and a bare engine
+// stream reopens as one shard, which cfg.Shards > 1 refuses.
 //
 //mithrilint:persist decode fleet
 func Reopen(cfg Config, rd io.Reader) (*Router, error) {
-	hdr := make([]byte, len(fleetMagic)+8)
-	if _, err := io.ReadFull(rd, hdr); err != nil {
-		return nil, fmt.Errorf("%w: fleet header: %v", storage.ErrSegmentCorrupt, err)
+	br := bufio.NewReader(rd)
+	if magic, err := br.Peek(len(fleetMagic)); err != nil || string(magic) != fleetMagic {
+		if cfg.Shards > 1 {
+			return nil, errors.New("router: cfg.Shards > 1 but the stream is not a fleet stream")
+		}
+		return build(cfg, 1, func(ecfg core.Config) (*core.Engine, error) {
+			return core.ReopenEngine(ecfg, br)
+		})
 	}
-	if string(hdr[:len(fleetMagic)]) != fleetMagic {
-		return nil, fmt.Errorf("%w: bad fleet magic", storage.ErrSegmentCorrupt)
+	hdr := make([]byte, len(fleetMagic)+8)
+	if _, err := io.ReadFull(br, hdr); err != nil {
+		return nil, fmt.Errorf("%w: fleet header: %v", storage.ErrSegmentCorrupt, err)
 	}
 	ver := binary.LittleEndian.Uint32(hdr[len(fleetMagic):])
 	if ver != fleetVersion {
@@ -91,7 +102,7 @@ func Reopen(cfg Config, rd io.Reader) (*Router, error) {
 		i := next
 		next++
 		var lenBuf [4]byte
-		if _, err := io.ReadFull(rd, lenBuf[:]); err != nil {
+		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
 			return nil, fmt.Errorf("%w: shard %d length: %v", storage.ErrSegmentCorrupt, i, err)
 		}
 		n := int64(binary.LittleEndian.Uint32(lenBuf[:]))
@@ -99,9 +110,17 @@ func Reopen(cfg Config, rd io.Reader) (*Router, error) {
 			return nil, fmt.Errorf("%w: shard %d: implausible stream length %d", storage.ErrSegmentCorrupt, i, n)
 		}
 		blob := make([]byte, n)
-		if _, err := io.ReadFull(rd, blob); err != nil {
+		if _, err := io.ReadFull(br, blob); err != nil {
 			return nil, fmt.Errorf("%w: shard %d stream: %v", storage.ErrSegmentCorrupt, i, err)
 		}
 		return core.ReopenEngine(ecfg, bytes.NewReader(blob))
+	})
+}
+
+// Load rebuilds a one-shard router from a single engine's gob save
+// stream (core.Engine.Save), which has no fleet form.
+func Load(cfg Config, rd io.Reader) (*Router, error) {
+	return build(cfg, 1, func(ecfg core.Config) (*core.Engine, error) {
+		return core.LoadEngine(ecfg, rd)
 	})
 }

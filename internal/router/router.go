@@ -1,4 +1,4 @@
-// Package router scales MithriLog out: N shards — each a full engine
+// Package router scales MithriLog out: N ≥ 1 shards — each a full engine
 // with its own simulated SSD, accelerator complex, scheduler, and page
 // cache — behind a scatter-gather query router with COPR-style tenant
 // partitioning. Tenant-tagged ingest is placed on the tenant's home
@@ -6,6 +6,11 @@
 // round-robin across all shards. Queries for a tenant go to its home
 // shard alone; untenanted queries scatter to every shard and gather
 // merged results.
+//
+// One shard is the single engine: it shares the router's metrics
+// registry (an unlabeled exposition), has no tenant quota and no shard
+// deadline, returns lines in page order, and persists as a bare engine
+// segment stream.
 //
 // Placement never alters data: a line's bytes are identical whether the
 // fleet has one shard or eight, which is what lets the multi-shard
@@ -20,15 +25,17 @@
 // (sched.TenantLimiter) run at the router, in front of the per-shard
 // schedulers, so one tenant's burst cannot monopolize the fleet.
 //
-// The router spawns goroutines only for the duration of one scatter
+// The router spawns goroutines only for a scatter to two or more shards
 // (joined before Search returns) and holds no locks across shard calls;
-// Close waits for in-flight requests and then no goroutine remains.
+// a query with one target runs on the caller's goroutine. Close waits
+// for in-flight requests and then no goroutine remains.
 package router
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -54,21 +61,23 @@ type Config struct {
 	Shards int
 	// Engine is the per-shard engine configuration template. Metrics and
 	// PageCache must be unset: every shard gets a private registry (see
-	// MetricsHandler) and, when CacheBytes > 0, a private page cache —
-	// page IDs collide across shards, so a shared cache would serve one
-	// shard's pages to another.
+	// Federation; at one shard, the router's) and, when CacheBytes > 0, a
+	// private page cache — page IDs collide across shards, so a shared
+	// cache would serve one shard's pages to another.
 	Engine core.Config
 	// Sched is the per-shard admission-control configuration.
 	Sched sched.Config
 	// CacheBytes sizes each shard's decompressed-page cache (0 disables).
 	CacheBytes int64
 	// TenantInFlight bounds concurrent queries per tenant across the
-	// whole router (default sched.DefaultTenantInFlight).
+	// whole router (default sched.DefaultTenantInFlight). Ignored at one
+	// shard.
 	TenantInFlight int
 	// ShardTimeout bounds each shard's portion of a scatter-gather query;
 	// a shard past it reports context.DeadlineExceeded in Result.Failed
 	// while the rest of the fleet still answers. Zero leaves only the
-	// caller's context and the per-shard scheduler timeout.
+	// caller's context and the per-shard scheduler timeout. Ignored at
+	// one shard.
 	ShardTimeout time.Duration
 }
 
@@ -88,8 +97,8 @@ type shard struct {
 // concurrent use.
 type Router struct {
 	cfg     Config
-	shards  []*shard // shard-owned
-	limiter *sched.TenantLimiter
+	shards  []*shard             // shard-owned
+	limiter *sched.TenantLimiter // nil at one shard
 
 	// rr stripes untenanted ingest lines across shards.
 	rr atomic.Uint64
@@ -123,7 +132,10 @@ func normShards(n int) int {
 }
 
 // build assembles the router shell and constructs each shard's engine
-// through mk (NewEngine for a fresh router, ReopenEngine for recovery).
+// through mk (NewEngine for a fresh router, ReopenEngine or LoadEngine for
+// recovery). One shard registers its series in the router's registry, so
+// the exposition stays unlabeled, and runs with no tenant quota and no
+// shard deadline.
 func build(cfg Config, nShards int, mk func(core.Config) (*core.Engine, error)) (*Router, error) {
 	if cfg.Engine.Metrics != nil {
 		return nil, errors.New("router: Config.Engine.Metrics must be unset (each shard gets a private registry)")
@@ -131,11 +143,13 @@ func build(cfg Config, nShards int, mk func(core.Config) (*core.Engine, error)) 
 	if cfg.Engine.PageCache != nil {
 		return nil, errors.New("router: Config.Engine.PageCache must be unset (use Config.CacheBytes)")
 	}
+	if nShards == 1 {
+		cfg.ShardTimeout = 0
+	}
 	r := &Router{
-		cfg:     cfg,
-		limiter: sched.NewTenantLimiter(cfg.TenantInFlight),
-		reg:     obs.NewRegistry(),
-		fed:     obs.NewFederation(),
+		cfg: cfg,
+		reg: obs.NewRegistry(),
+		fed: obs.NewFederation(),
 	}
 	r.queries = r.reg.Counter("mithrilog_router_queries_total",
 		"Queries accepted by the router (past the tenant quota).")
@@ -146,14 +160,21 @@ func build(cfg Config, nShards int, mk func(core.Config) (*core.Engine, error)) 
 		"shard")
 	r.shardQueries = r.reg.Counter("mithrilog_router_shard_queries_total",
 		"Per-shard sub-queries issued by scatter-gather (ratio to queries_total is the mean scatter width).")
-	r.limiter.RegisterMetrics(r.reg)
+	if nShards > 1 {
+		r.limiter = sched.NewTenantLimiter(cfg.TenantInFlight)
+		r.limiter.RegisterMetrics(r.reg)
+	}
 	r.reg.GaugeFunc("mithrilog_router_shards",
 		"Shards behind the router.",
 		nil, func() float64 { return float64(len(r.shards)) })
 	r.fed.Add(r.reg, "", "")
 
 	for i := 0; i < nShards; i++ {
-		reg := obs.NewRegistry()
+		reg := r.reg
+		if nShards > 1 {
+			reg = obs.NewRegistry()
+			r.fed.Add(reg, "shard", strconv.Itoa(i))
+		}
 		ecfg := cfg.Engine
 		ecfg.Metrics = reg
 		var cache *sched.PageCache
@@ -175,7 +196,6 @@ func build(cfg Config, nShards int, mk func(core.Config) (*core.Engine, error)) 
 			reg:   reg,
 		}
 		r.shards = append(r.shards, sh)
-		r.fed.Add(reg, "shard", strconv.Itoa(i))
 	}
 	return r, nil
 }
@@ -189,7 +209,8 @@ func (r *Router) ShardFor(tenant string) int {
 	return shardIndex(tenant, len(r.shards))
 }
 
-// Shard exposes one shard's engine (stats, tests, benchmarks). It is a
+// Shard exposes one shard's engine (stats, tests, benchmarks, and the
+// facade's single-engine passes on a one-shard fleet). It is a
 // deliberate, documented hole in shard isolation: callers get read-only
 // introspection (Stats, differential oracles) and must not retain the
 // engine past the call.
@@ -198,14 +219,22 @@ func (r *Router) ShardFor(tenant string) int {
 func (r *Router) Shard(i int) *core.Engine { return r.shards[i].eng }
 
 // Limiter exposes the router's tenant quota layer (tests, admission
-// introspection).
+// introspection); nil at one shard, which has no tenant quota.
 func (r *Router) Limiter() *sched.TenantLimiter { return r.limiter }
 
-// Obs returns the router's own registry (quota and scatter metrics).
+// ObserveParseTime records a query's parse time on the tenant's home
+// shard: the query is parsed once, however wide its scatter.
+func (r *Router) ObserveParseTime(tenant string, d time.Duration) {
+	r.shards[shardIndex(tenant, len(r.shards))].eng.ObserveParseTime(d)
+}
+
+// Obs returns the router's own registry (quota and scatter metrics),
+// which at one shard is also the shard's.
 func (r *Router) Obs() *obs.Registry { return r.reg }
 
-// Federation returns the federated view of the router registry plus
-// every shard's registry, each shard's series labeled shard="<i>".
+// Federation returns the federated view of the router registry plus, on
+// two or more shards, every shard's registry, each shard's series labeled
+// shard="<i>".
 func (r *Router) Federation() *obs.Federation { return r.fed }
 
 // shardIndex is FNV-1a placement: stable across runs and shard-local
@@ -319,6 +348,24 @@ func (r *Router) Snapshot(ts time.Time) error {
 	return nil
 }
 
+// Export writes every shard's decompressed text to w, in shard order,
+// and returns the bytes written.
+func (r *Router) Export(w io.Writer) (uint64, error) {
+	if err := r.begin(); err != nil {
+		return 0, err
+	}
+	defer r.active.Done()
+	var n uint64
+	for i, sh := range r.shards {
+		res, err := sh.eng.Export(w)
+		n += res.RawBytes
+		if err != nil {
+			return n, fmt.Errorf("router: shard %d: %w", i, err)
+		}
+	}
+	return n, nil
+}
+
 // ShardError is one shard's failure within an otherwise-served query.
 type ShardError struct {
 	Shard int
@@ -341,16 +388,18 @@ type Gather struct {
 
 // Result is a merged scatter-gather search result: the fleet's view of
 // the answering shards' results, in the shape one engine reports, plus
-// the gather summary. Matches and the page counts sum. Lines are in
-// canonical (byte-wise lexicographic) order so the merged bytes are
-// identical regardless of shard count or gather arrival order; with a
-// Limit, each shard returns its Limit smallest lines and the merge keeps
-// the Limit smallest of those, which are the fleet's. Offloaded /
-// UsedIndex hold if they do on every answering shard. Shards scan in
-// parallel, so the slowest binds: SimElapsed and the four simulated
-// components it decomposes into are that shard's. QueueTime is the worst
-// shard's pipeline queue share, WallElapsed the host time of the scatter.
-// Fields not named here are not merged and stay zero.
+// the gather summary. Matches and the page counts sum. On two or more
+// shards lines are in canonical (byte-wise lexicographic) order, so the
+// merged bytes are identical regardless of shard count or gather arrival
+// order; with a Limit, each shard returns its Limit smallest lines and
+// the merge keeps the Limit smallest of those, which are the fleet's. One
+// shard's lines come back as its engine returned them: in page order, or
+// the canonical prefix under a Limit. Offloaded / UsedIndex hold if they
+// do on every answering shard. Shards scan in parallel, so the slowest
+// binds: SimElapsed and the four simulated components it decomposes into
+// are that shard's. QueueTime is the worst shard's pipeline queue share,
+// WallElapsed the host time of the scatter. Fields not named here are not
+// merged and stay zero.
 type Result struct {
 	core.SearchResult
 	Gather
@@ -364,66 +413,80 @@ func (r *Router) shardDeadline(ctx context.Context) (context.Context, context.Ca
 	return ctx, func() {}
 }
 
-// targets returns the shard indices a query scatters to.
-func (r *Router) targets(tenant string) []int {
-	if tenant != "" {
-		return []int{shardIndex(tenant, len(r.shards))}
-	}
-	out := make([]int, len(r.shards))
-	for i := range out {
-		out[i] = i
-	}
-	return out
+// wide reports whether a tenant's query scatters to every shard of a
+// fleet of two or more, rather than running on one shard.
+func (r *Router) wide(tenant string) bool {
+	return tenant == "" && len(r.shards) > 1
 }
 
 // scatter is the one scatter-gather both query kinds run: admit the query
 // against the tenant quota (ErrTenantQuota surfaces before any shard is
-// touched), run it on the tenant's home shard (tenant != "") or every
-// shard (tenant == "") under per-shard deadlines, and hand the answers to
-// fold in shard order (first marks the first). An empty shard is a valid
-// fleet state, not a failure; the query errors only when no shard
-// answered — ErrNothingIngested if all were empty, else the joined shard
-// errors. Scatter goroutines are joined before scatter returns.
-func scatter[R any](ctx context.Context, r *Router, tenant string, run func(context.Context, *sched.Scheduler) (R, error), fold func(first bool, res *R)) (Gather, error) {
+// touched), run it under per-shard deadlines on the tenant's home shard,
+// on the caller's goroutine, or — when wide — on every shard in parallel,
+// and hand the answers to fold in shard order (first marks the first).
+// An empty shard is a valid fleet state, not a failure; the query errors
+// only when no shard answered — ErrNothingIngested if all were empty,
+// else the shard errors. A one-shard fleet returns its engine's error as
+// is. Scatter goroutines are joined before scatter returns.
+func scatter[R any](ctx context.Context, r *Router, tenant string, run func(context.Context, *sched.Scheduler) (R, error), fold func(first bool, res R)) (Gather, error) {
 	if err := r.begin(); err != nil {
 		return Gather{}, err
 	}
 	defer r.active.Done()
-	release, err := r.limiter.Acquire(tenant)
-	if err != nil {
-		return Gather{}, err
+	if r.limiter != nil {
+		release, err := r.limiter.Acquire(tenant)
+		if err != nil {
+			return Gather{}, err
+		}
+		defer release()
 	}
-	defer release()
 	r.queries.Inc()
 
-	targets := r.targets(tenant)
-	r.shardQueries.Add(float64(len(targets)))
+	n := len(r.shards)
+	if !r.wide(tenant) {
+		r.shardQueries.Inc()
+		si := shardIndex(tenant, n)
+		sctx, cancel := r.shardDeadline(ctx)
+		defer cancel()
+		res, err := run(sctx, r.shards[si].sch)
+		switch {
+		case err == nil:
+			fold(true, res)
+			return Gather{ShardsQueried: 1}, nil
+		case n > 1 && !errors.Is(err, core.ErrNothingIngested):
+			r.shardErrors.WithLabelValues(strconv.Itoa(si)).Inc()
+			err = fmt.Errorf("shard %d: %w", si, err)
+		}
+		return Gather{}, err
+	}
+
+	r.shardQueries.Add(float64(n))
 	type shardOut struct {
 		res R
 		err error
 	}
-	outs := make([]shardOut, len(targets))
+	outs := make([]shardOut, n)
 	var wg sync.WaitGroup
-	for slot, si := range targets {
+	for si := range outs {
 		wg.Add(1)
-		go func(slot, si int) {
+		go func(si int) {
 			defer wg.Done()
 			sctx, cancel := r.shardDeadline(ctx)
 			defer cancel()
 			res, err := run(sctx, r.shards[si].sch)
-			outs[slot] = shardOut{res: res, err: err}
-		}(slot, si)
+			outs[si] = shardOut{res: res, err: err}
+		}(si)
 	}
 	wg.Wait()
 
-	g := Gather{ShardsQueried: len(targets)}
+	g := Gather{ShardsQueried: n}
 	nOK := 0
 	var errs []error
-	for slot := range outs {
-		o, si := &outs[slot], targets[slot]
+	for si := range outs {
+		o := &outs[si]
 		switch {
 		case o.err == nil:
-			fold(nOK == 0, &o.res)
+			fold(nOK == 0, o.res)
 			nOK++
 		case errors.Is(o.err, core.ErrNothingIngested):
 			g.EmptyShards++
@@ -433,7 +496,7 @@ func scatter[R any](ctx context.Context, r *Router, tenant string, run func(cont
 			errs = append(errs, fmt.Errorf("shard %d: %w", si, o.err))
 		}
 	}
-	if nOK == 0 && g.EmptyShards == len(targets) {
+	if nOK == 0 && g.EmptyShards == n {
 		return Gather{}, core.ErrNothingIngested
 	}
 	if nOK == 0 && g.EmptyShards == 0 {
@@ -446,18 +509,34 @@ func scatter[R any](ctx context.Context, r *Router, tenant string, run func(cont
 	return g, nil
 }
 
+// appendLines gathers a shard's lines into the merge; the first shard's
+// slice is adopted, not copied, so a one-shard query costs no copy.
+func appendLines(first bool, merged, lines [][]byte) [][]byte {
+	if first {
+		return lines
+	}
+	return append(merged, lines...)
+}
+
 // Search scatters q (see scatter for routing, quota, and partial-failure
-// semantics) and merges per the rules on Result.
+// semantics) and merges per the rules on Result. A query that runs on one
+// shard records its span tree into opts.Trace like a single engine; a
+// wide scatter's span trees would interleave, so it only annotates the
+// root with the fleet shape.
 func (r *Router) Search(ctx context.Context, tenant string, q query.Query, opts core.SearchOptions) (Result, error) {
 	start := time.Now()
+	trace := opts.Trace
+	if r.wide(tenant) {
+		opts.Trace = nil
+	}
 	var m core.SearchResult
 	g, err := scatter(ctx, r, tenant,
 		func(ctx context.Context, s *sched.Scheduler) (core.SearchResult, error) {
 			return s.Search(ctx, q, opts)
 		},
-		func(first bool, s *core.SearchResult) {
+		func(first bool, s core.SearchResult) {
 			m.Matches += s.Matches
-			m.Lines = append(m.Lines, s.Lines...)
+			m.Lines = appendLines(first, m.Lines, s.Lines)
 			m.TotalPages += s.TotalPages
 			m.CandidatePages += s.CandidatePages
 			m.CachedPages += s.CachedPages
@@ -472,7 +551,15 @@ func (r *Router) Search(ctx context.Context, tenant string, q query.Query, opts 
 	if err != nil {
 		return Result{}, err
 	}
-	m.Lines = core.CanonicalLines(m.Lines, opts.Limit)
+	if len(r.shards) > 1 {
+		m.Lines = core.CanonicalLines(m.Lines, opts.Limit)
+		trace.SetAttrInt("shards_queried", int64(g.ShardsQueried))
+		trace.SetAttrInt("empty_shards", int64(g.EmptyShards))
+		trace.SetAttrBool("partial", g.Partial)
+		if tenant != "" {
+			trace.SetAttr("tenant", tenant)
+		}
+	}
 	m.WallElapsed = time.Since(start)
 	return Result{SearchResult: m, Gather: g}, nil
 }
@@ -494,9 +581,9 @@ func (r *Router) SearchRegex(ctx context.Context, tenant, pattern string, opts c
 		func(ctx context.Context, s *sched.Scheduler) (core.RegexResult, error) {
 			return s.SearchRegex(ctx, pattern, opts)
 		},
-		func(first bool, s *core.RegexResult) {
+		func(first bool, s core.RegexResult) {
 			m.Matches += s.Matches
-			m.Lines = append(m.Lines, s.Lines...)
+			m.Lines = appendLines(first, m.Lines, s.Lines)
 			m.TotalPages += s.TotalPages
 			m.CandidatePages += s.CandidatePages
 			m.CachedPages += s.CachedPages
@@ -511,7 +598,9 @@ func (r *Router) SearchRegex(ctx context.Context, tenant, pattern string, opts c
 	if err != nil {
 		return RegexResult{}, err
 	}
-	m.Lines = core.CanonicalLines(m.Lines, opts.Limit)
+	if len(r.shards) > 1 {
+		m.Lines = core.CanonicalLines(m.Lines, opts.Limit)
+	}
 	m.WallElapsed = time.Since(start)
 	return RegexResult{RegexResult: m, Gather: g}, nil
 }
@@ -530,18 +619,9 @@ type Stats struct {
 // Stats sums content accounting over all shards. Each shard is read in
 // one consistent snapshot (core.Engine.ContentStats), in O(1).
 func (r *Router) Stats() Stats {
-	shards := make([]core.ContentStats, len(r.shards))
-	for i, sh := range r.shards {
-		shards[i] = sh.eng.ContentStats()
-	}
-	return SumStats(shards...)
-}
-
-// SumStats sums per-shard content snapshots into fleet accounting; one
-// snapshot is a width-1 fleet's.
-func SumStats(shards ...core.ContentStats) Stats {
-	st := Stats{Shards: len(shards)}
-	for _, c := range shards {
+	st := Stats{Shards: len(r.shards)}
+	for _, sh := range r.shards {
+		c := sh.eng.ContentStats()
 		st.Lines += c.Lines
 		st.RawBytes += c.RawBytes
 		st.CompressedBytes += c.CompressedBytes

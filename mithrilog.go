@@ -49,7 +49,7 @@ var ErrQueueFull = sched.ErrQueueFull
 // backpressure, not failure.
 var ErrTenantQuota = sched.ErrTenantQuota
 
-// ErrClosed reports an operation on a closed sharded engine.
+// ErrClosed reports an operation on a closed engine.
 var ErrClosed = router.ErrClosed
 
 // ErrLineTooLong reports an ingest batch holding a line too long for one
@@ -94,17 +94,18 @@ type Config struct {
 	// text, all of it counted against the bound). Zero disables caching.
 	CacheBytes int64
 
-	// Shards > 1 runs that many independent engines — each with its own
+	// Shards is the number of independent engines — each with its own
 	// simulated SSD, accelerator complex, scheduler, and page cache —
-	// behind a scatter-gather router. Tenant-tagged ingest (IngestTenant)
-	// lands on the tenant's home shard; untenanted ingest is striped
-	// round-robin. Queries for a tenant go to one shard; untenanted
-	// queries scatter to all shards and merge in canonical order. 0 or 1
-	// keeps the classic single-engine layout.
+	// behind the scatter-gather router; 0 or 1 means one engine.
+	// Tenant-tagged ingest (IngestTenant) lands on the tenant's home
+	// shard; untenanted ingest is striped round-robin. Queries for a
+	// tenant go to one shard; untenanted queries scatter to all shards
+	// and, on two or more, merge in canonical order.
 	Shards int
 	// TenantInFlight bounds concurrent queries per tenant in sharded mode,
 	// in front of the per-shard schedulers; excess arrivals fail fast with
-	// ErrTenantQuota (default 4). Ignored when Shards <= 1.
+	// ErrTenantQuota (default 4). Ignored when Shards <= 1: one engine has
+	// no tenant quota.
 	TenantInFlight int
 	// ShardTimeout bounds each shard's portion of a scatter-gather query;
 	// a late shard is reported in Result.FailedShards while the rest of
@@ -113,28 +114,24 @@ type Config struct {
 	ShardTimeout time.Duration
 }
 
-func (c Config) toCore() core.Config {
-	return core.Config{
-		Storage: storage.Config{
-			InternalBandwidth: c.InternalBandwidth,
-			ExternalBandwidth: c.ExternalBandwidth,
-		},
-		System: hwsim.SystemConfig{
-			Pipelines:  c.Pipelines,
-			InternalBW: c.InternalBandwidth,
-			ExternalBW: c.ExternalBandwidth,
-		},
-		Pipeline: filter.PipelineConfig{
-			Table: cuckoo.Config{Rows: c.HashTableRows, Sets: c.IntersectionSets},
-		},
-		Index: index.Params{Buckets: c.IndexBuckets},
-	}
-}
-
 func (c Config) toRouter() router.Config {
 	return router.Config{
 		Shards: c.Shards,
-		Engine: c.toCore(),
+		Engine: core.Config{
+			Storage: storage.Config{
+				InternalBandwidth: c.InternalBandwidth,
+				ExternalBandwidth: c.ExternalBandwidth,
+			},
+			System: hwsim.SystemConfig{
+				Pipelines:  c.Pipelines,
+				InternalBW: c.InternalBandwidth,
+				ExternalBW: c.ExternalBandwidth,
+			},
+			Pipeline: filter.PipelineConfig{
+				Table: cuckoo.Config{Rows: c.HashTableRows, Sets: c.IntersectionSets},
+			},
+			Index: index.Params{Buckets: c.IndexBuckets},
+		},
 		Sched: sched.Config{
 			MaxInFlight: c.MaxInFlight,
 			QueueDepth:  c.QueueDepth,
@@ -146,54 +143,46 @@ func (c Config) toRouter() router.Config {
 	}
 }
 
-// Engine is a MithriLog instance: simulated near-storage device, index,
-// and accelerator pipelines, fronted by a concurrent query scheduler with
-// a shared decompressed-page cache. With Config.Shards > 1 it is instead
-// a fleet of such instances behind a scatter-gather router; the same
-// methods apply, plus tenant-aware ingest and partial-result reporting.
+// Engine is a MithriLog instance: N ≥ 1 engines — each a simulated
+// near-storage device, index, and accelerator pipelines, fronted by a
+// concurrent query scheduler with a decompressed-page cache — behind the
+// scatter-gather router. Config{} opens one engine; Config.Shards > 1
+// opens a fleet, which adds tenant-aware placement and partial-result
+// reporting to the same methods.
 type Engine struct {
-	inner *core.Engine
-	sched *sched.Scheduler
-	cache *sched.PageCache
-
-	// router is non-nil iff the engine was opened with Config.Shards > 1;
-	// inner/sched/cache are nil then and every method dispatches here.
 	router *router.Router
 }
 
 // Open creates an empty engine (or, with cfg.Shards > 1, a sharded fleet).
 func Open(cfg Config) *Engine {
-	if cfg.Shards > 1 {
-		r, err := router.New(cfg.toRouter())
-		if err != nil {
-			// toRouter never sets the fields router.New validates; an error
-			// here is a facade bug, not a user input.
-			panic(err)
-		}
-		return &Engine{router: r}
+	r, err := router.New(cfg.toRouter())
+	if err != nil {
+		// toRouter never sets the fields router.New validates; an error
+		// here is a facade bug, not a user input.
+		panic(err)
 	}
-	e, _ := wrap(cfg, func(c core.Config) (*core.Engine, error) {
-		return core.NewEngine(c), nil
-	})
-	return e
+	return &Engine{router: r}
 }
 
-// Close shuts a sharded engine down: it waits for in-flight operations,
-// flushes every shard, and makes further calls fail with ErrClosed. On a
-// single-engine instance it just flushes. Close is idempotent.
+// fromRouter wraps a router built from a stream.
+func fromRouter(r *router.Router, err error) (*Engine, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &Engine{router: r}, nil
+}
+
+// Close waits for in-flight operations to drain and flushes every shard,
+// at every width. After it, ingest, Flush, Snapshot, every search,
+// WriteSegments and Export fail with ErrClosed; the single-engine passes
+// Save, SearchBatch and Tag do not check. Close is idempotent.
 func (e *Engine) Close() error {
-	if e.router != nil {
-		return e.router.Close()
-	}
-	return e.inner.Flush()
+	return e.router.Close()
 }
 
-// Shards reports the fleet width: 1 for a classic single-engine instance.
+// Shards reports the fleet width: 1 for Config{}.
 func (e *Engine) Shards() int {
-	if e.router != nil {
-		return e.router.NumShards()
-	}
-	return 1
+	return e.router.NumShards()
 }
 
 // TenantLimiter exposes a sharded engine's per-tenant admission layer
@@ -201,39 +190,7 @@ func (e *Engine) Shards() int {
 // deterministically). Nil on a single engine, which has no tenant
 // quotas.
 func (e *Engine) TenantLimiter() *sched.TenantLimiter {
-	if e.router != nil {
-		return e.router.Limiter()
-	}
-	return nil
-}
-
-// wrap assembles the facade around a core engine built by mk: the
-// decompressed-page cache is created first (the core config carries it),
-// then the scheduler and cache metrics attach to the built engine.
-func wrap(cfg Config, mk func(core.Config) (*core.Engine, error)) (*Engine, error) {
-	ccfg := cfg.toCore()
-	var cache *sched.PageCache
-	if cfg.CacheBytes > 0 {
-		cache = sched.NewPageCache(cfg.CacheBytes)
-		ccfg.PageCache = cache
-	}
-	inner, err := mk(ccfg)
-	if err != nil {
-		return nil, err
-	}
-	e := &Engine{
-		inner: inner,
-		cache: cache,
-		sched: sched.New(inner, sched.Config{
-			MaxInFlight: cfg.MaxInFlight,
-			QueueDepth:  cfg.QueueDepth,
-			Timeout:     cfg.QueryTimeout,
-		}),
-	}
-	if cache != nil {
-		cache.RegisterMetrics(inner.Obs())
-	}
-	return e, nil
+	return e.router.Limiter()
 }
 
 // IngestLines appends log lines (strings without trailing newlines).
@@ -242,12 +199,12 @@ func (e *Engine) IngestLines(lines []string) error {
 	for i, l := range lines {
 		bs[i] = []byte(l)
 	}
-	return e.ingest("", bs)
+	return e.router.Ingest("", bs)
 }
 
 // IngestBytes appends log lines given as byte slices.
 func (e *Engine) IngestBytes(lines [][]byte) error {
-	return e.ingest("", lines)
+	return e.router.Ingest("", lines)
 }
 
 // IngestTenant appends lines owned by a tenant. On a sharded engine the
@@ -256,14 +213,7 @@ func (e *Engine) IngestBytes(lines [][]byte) error {
 // the line bytes. On a single engine tenancy is a no-op (there is one
 // shard) and the call is identical to IngestBytes.
 func (e *Engine) IngestTenant(tenant string, lines [][]byte) error {
-	return e.ingest(tenant, lines)
-}
-
-func (e *Engine) ingest(tenant string, lines [][]byte) error {
-	if e.router != nil {
-		return e.router.Ingest(tenant, lines)
-	}
-	return e.inner.Ingest(lines)
+	return e.router.Ingest(tenant, lines)
 }
 
 // IngestReader streams newline-separated log text into the engine.
@@ -276,7 +226,7 @@ func (e *Engine) IngestReader(r io.Reader) error {
 		copy(line, sc.Bytes())
 		batch = append(batch, line)
 		if len(batch) == 4096 {
-			if err := e.ingest("", batch); err != nil {
+			if err := e.router.Ingest("", batch); err != nil {
 				return err
 			}
 			batch = batch[:0]
@@ -285,24 +235,18 @@ func (e *Engine) IngestReader(r io.Reader) error {
 	if err := sc.Err(); err != nil {
 		return err
 	}
-	return e.ingest("", batch)
+	return e.router.Ingest("", batch)
 }
 
 // Flush forces buffered lines into storage pages and flushes the index
 // (on every shard, when sharded).
 func (e *Engine) Flush() error {
-	if e.router != nil {
-		return e.router.Flush()
-	}
-	return e.inner.Flush()
+	return e.router.Flush()
 }
 
 // Snapshot records a time boundary for Range queries (§6.3).
 func (e *Engine) Snapshot(ts time.Time) error {
-	if e.router != nil {
-		return e.router.Snapshot(ts)
-	}
-	return e.inner.TakeSnapshot(ts)
+	return e.router.Snapshot(ts)
 }
 
 // SearchOptions tune a search; see the fields for the paper experiment
@@ -399,36 +343,26 @@ type TimingBreakdown struct {
 func (e *Engine) Search(expr string, opts SearchOptions) (Result, error) {
 	parseStart := time.Now()
 	q, err := query.Parse(expr)
-	e.observeParse(time.Since(parseStart))
+	e.router.ObserveParseTime(opts.Tenant, time.Since(parseStart))
 	if err != nil {
 		return Result{}, err
 	}
 	return e.run(q, opts, nil)
 }
 
-// observeParse records parse latency on the engine that will run the
-// query: the single engine's registry, or the query's home shard (parse
-// happens once however wide the scatter is).
-func (e *Engine) observeParse(d time.Duration) {
-	if e.router != nil {
-		e.router.Shard(e.router.ShardFor("")).ObserveParseTime(d)
-		return
-	}
-	e.inner.ObserveParseTime(d)
-}
-
 // TraceSearch runs Search while recording a span tree of the query's
 // stages (parse → index probe → configure → page scan), each annotated
-// with its counts and simulated timings. The returned tree is JSON-ready;
-// the HTTP server exposes it at GET /trace. On a parse error the tree
-// holds only the failed parse span.
+// with its counts and simulated timings. A query scattered over a fleet
+// records only the parse span, with the fleet shape annotated on the
+// root. The returned tree is JSON-ready; the HTTP server exposes it at
+// GET /trace. On a parse error the tree holds only the failed parse span.
 func (e *Engine) TraceSearch(expr string, opts SearchOptions) (Result, obs.SpanData, error) {
 	root := obs.StartSpan("search")
 	parseStart := time.Now()
 	parseSpan := root.StartChild("parse")
 	q, err := query.Parse(expr)
 	parseSpan.End()
-	e.observeParse(time.Since(parseStart))
+	e.router.ObserveParseTime(opts.Tenant, time.Since(parseStart))
 	if err != nil {
 		parseSpan.SetAttr("error", err.Error())
 		root.End()
@@ -452,44 +386,23 @@ func (e *Engine) run(q query.Query, opts SearchOptions, trace *obs.Span) (Result
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	copts := core.SearchOptions{
+	res, err := e.router.Search(ctx, opts.Tenant, q, core.SearchOptions{
 		NoIndex:      opts.NoIndex,
 		CollectLines: opts.CollectLines,
 		Limit:        opts.Limit,
 		From:         opts.From,
 		To:           opts.To,
-	}
-	if e.router == nil {
-		copts.Trace = trace
-		res, err := e.sched.Search(ctx, q, copts)
-		if err != nil {
-			return Result{}, err
-		}
-		return toResult(res, router.Gather{ShardsQueried: 1}, e.inner.RawBytes(), opts.CollectLines), nil
-	}
-	// The scatter-gather happens inside the router (per-shard deadlines,
-	// tenant quota, merge in canonical order). Per-shard span trees would
-	// interleave, so a routed trace stays at fleet granularity: the root
-	// span is annotated with the fleet shape.
-	res, err := e.router.Search(ctx, opts.Tenant, q, copts)
+		Trace:        trace,
+	})
 	if err != nil {
 		return Result{}, err
 	}
-	if trace != nil {
-		trace.SetAttrInt("shards_queried", int64(res.ShardsQueried))
-		trace.SetAttrInt("empty_shards", int64(res.EmptyShards))
-		trace.SetAttrBool("partial", res.Partial)
-		if opts.Tenant != "" {
-			trace.SetAttr("tenant", opts.Tenant)
-		}
-	}
-	return toResult(res.SearchResult, res.Gather, e.router.RawBytes(), opts.CollectLines), nil
+	return toResult(res, e.router.RawBytes(), opts.CollectLines), nil
 }
 
-// toResult translates an engine-shaped search result — a single engine's,
-// or the router's merged fleet view with its gather summary g — into the
-// facade Result; rawBytes is the dataset size EffectiveGBps is against.
-func toResult(res core.SearchResult, g router.Gather, rawBytes uint64, collect bool) Result {
+// toResult translates the router's merged result into the facade Result;
+// rawBytes is the dataset size EffectiveGBps is against.
+func toResult(res router.Result, rawBytes uint64, collect bool) Result {
 	out := Result{
 		Matches:        res.Matches,
 		Offloaded:      res.Offloaded,
@@ -507,10 +420,10 @@ func toResult(res core.SearchResult, g router.Gather, rawBytes uint64, collect b
 		},
 		WallElapsed:   res.WallElapsed,
 		EffectiveGBps: res.EffectiveThroughput(rawBytes) / 1e9,
-		Partial:       g.Partial,
-		FailedShards:  shardFailures(g),
-		ShardsQueried: g.ShardsQueried,
-		EmptyShards:   g.EmptyShards,
+		Partial:       res.Partial,
+		FailedShards:  shardFailures(res.Gather),
+		ShardsQueried: res.ShardsQueried,
+		EmptyShards:   res.EmptyShards,
 	}
 	if collect {
 		out.Lines = lineStrings(res.Lines)
@@ -557,14 +470,12 @@ type Stats struct {
 // ingest, search-stage, storage-link, and accelerator-model series are
 // maintained permanently at one atomic op per event. In-module consumers
 // (the HTTP server) register additional metrics into it; external callers
-// serve it via MetricsHandler. On a sharded engine this is the router's
-// own registry (quota and scatter metrics); per-shard series appear only
-// in the federated MetricsHandler view.
+// serve it via MetricsHandler. It is the router's registry (scatter
+// metrics, and on a fleet the tenant quota's); a single engine's series
+// live in it too, while a fleet's per-shard series appear only in the
+// federated MetricsHandler view.
 func (e *Engine) Obs() *obs.Registry {
-	if e.router != nil {
-		return e.router.Obs()
-	}
-	return e.inner.Obs()
+	return e.router.Obs()
 }
 
 // MetricsHandler returns an http.Handler serving the engine's metrics in
@@ -572,21 +483,13 @@ func (e *Engine) Obs() *obs.Registry {
 // reference). On a sharded engine the exposition federates the router's
 // registry with every shard's, each shard's series labeled shard="<i>".
 func (e *Engine) MetricsHandler() http.Handler {
-	if e.router != nil {
-		return e.router.Federation()
-	}
-	return e.inner.Obs()
+	return e.router.Federation()
 }
 
 // Stats reports the engine's current contents (summed across shards on a
 // sharded engine).
 func (e *Engine) Stats() Stats {
-	var st router.Stats
-	if e.router != nil {
-		st = e.router.Stats()
-	} else {
-		st = router.SumStats(e.inner.ContentStats())
-	}
+	st := e.router.Stats()
 	out := Stats{
 		Lines:            st.Lines,
 		RawBytes:         st.RawBytes,
@@ -681,23 +584,14 @@ func (e *Engine) SearchRegexOpts(ctx context.Context, tenant, pattern string, op
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	copts := core.RegexOptions{CollectLines: opts.CollectLines, Limit: opts.Limit, NoPrefilter: opts.NoPrefilter}
-	if e.router != nil {
-		res, err := e.router.SearchRegex(ctx, tenant, pattern, copts)
-		if err != nil {
-			return RegexResult{}, err
-		}
-		return toRegexResult(res.RegexResult, res.Gather, opts.CollectLines), nil
-	}
-	res, err := e.sched.SearchRegex(ctx, pattern, copts)
+	res, err := e.router.SearchRegex(ctx, tenant, pattern, core.RegexOptions{
+		CollectLines: opts.CollectLines,
+		Limit:        opts.Limit,
+		NoPrefilter:  opts.NoPrefilter,
+	})
 	if err != nil {
 		return RegexResult{}, err
 	}
-	return toRegexResult(res, router.Gather{ShardsQueried: 1}, opts.CollectLines), nil
-}
-
-// toRegexResult is toResult for regex scans.
-func toRegexResult(res core.RegexResult, g router.Gather, collect bool) RegexResult {
 	out := RegexResult{
 		Matches:        res.Matches,
 		Prefiltered:    res.Prefiltered,
@@ -706,13 +600,13 @@ func toRegexResult(res core.RegexResult, g router.Gather, collect bool) RegexRes
 		CachedPages:    res.CachedPages,
 		SimElapsed:     res.SimElapsed,
 		WallElapsed:    res.WallElapsed,
-		Partial:        g.Partial,
-		FailedShards:   shardFailures(g),
-		ShardsQueried:  g.ShardsQueried,
-		EmptyShards:    g.EmptyShards,
+		Partial:        res.Partial,
+		FailedShards:   shardFailures(res.Gather),
+		ShardsQueried:  res.ShardsQueried,
+		EmptyShards:    res.EmptyShards,
 	}
-	if collect {
+	if opts.CollectLines {
 		out.Lines = lineStrings(res.Lines)
 	}
-	return out
+	return out, nil
 }

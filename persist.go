@@ -1,19 +1,17 @@
 package mithrilog
 
 import (
-	"bufio"
 	"errors"
 	"io"
 
-	"mithrilog/internal/core"
 	"mithrilog/internal/router"
 )
 
 // ErrSharded reports an operation that needs the single-engine layout
 // called on a sharded engine: the whole-store passes (Tag, SearchBatch and
-// the analytics built on them, Export) and the gob Save/Load. Fleets
-// persist through WriteSegments/Reopen instead, whose stream carries the
-// shard count so placement stays consistent across restarts.
+// the analytics built on them) and the gob Save/Load. Fleets persist
+// through WriteSegments/Reopen instead, whose stream carries the shard
+// count so placement stays consistent across restarts.
 var ErrSharded = errors.New("mithrilog: operation needs a single engine and is not supported with Config.Shards > 1 (fleets persist through WriteSegments/Reopen)")
 
 // Save serializes the engine's persistent state — storage pages (data +
@@ -21,10 +19,10 @@ var ErrSharded = errors.New("mithrilog: operation needs a single engine and is n
 // an ingested log can be queried later without re-ingesting. Buffered
 // lines are flushed first. Sharded engines persist through WriteSegments.
 func (e *Engine) Save(w io.Writer) error {
-	if e.router != nil {
+	if e.router.NumShards() > 1 {
 		return ErrSharded
 	}
-	return e.inner.Save(w)
+	return e.router.Shard(0).Save(w)
 }
 
 // Load reconstructs an engine previously written with Save. cfg supplies
@@ -35,9 +33,7 @@ func Load(cfg Config, r io.Reader) (*Engine, error) {
 	if cfg.Shards > 1 {
 		return nil, ErrSharded
 	}
-	return wrap(cfg, func(c core.Config) (*core.Engine, error) {
-		return core.LoadEngine(c, r)
-	})
+	return fromRouter(router.Load(cfg.toRouter(), r))
 }
 
 // WriteSegments writes the engine's sealed-segment stream: buffered lines
@@ -49,10 +45,7 @@ func Load(cfg Config, r io.Reader) (*Engine, error) {
 // the stream survives index-geometry changes and is the crash-recovery
 // format the reopen oracle exercises.
 func (e *Engine) WriteSegments(w io.Writer) error {
-	if e.router != nil {
-		return e.router.WriteSegments(w)
-	}
-	return e.inner.WriteSegments(w)
+	return e.router.WriteSegments(w)
 }
 
 // Reopen rebuilds an engine from a WriteSegments stream, verifying every
@@ -60,34 +53,14 @@ func (e *Engine) WriteSegments(w io.Writer) error {
 // stream's own shape decides the fleet: a fleet stream reopens as a
 // sharded engine with the shard count recorded at write time (overriding
 // cfg.Shards, so tenant placement stays consistent); a single-engine
-// stream reopens as a single engine.
-//
-//mithrilint:persist decode fleet
+// stream reopens as a single engine, and fails with cfg.Shards > 1.
 func Reopen(cfg Config, r io.Reader) (*Engine, error) {
-	br := bufio.NewReader(r)
-	magic, err := br.Peek(len(router.FleetMagic))
-	if err == nil && string(magic) == router.FleetMagic {
-		rt, err := router.Reopen(cfg.toRouter(), br)
-		if err != nil {
-			return nil, err
-		}
-		return &Engine{router: rt}, nil
-	}
-	if cfg.Shards > 1 {
-		return nil, errors.New("mithrilog: cfg.Shards > 1 but the stream is not a fleet stream")
-	}
-	return wrap(cfg, func(c core.Config) (*core.Engine, error) {
-		return core.ReopenEngine(c, br)
-	})
+	return fromRouter(router.Reopen(cfg.toRouter(), r))
 }
 
 // Export streams the whole store's decompressed text to w — the paper's
-// §3 decompress-and-forward device mode. Returns the number of bytes
-// written.
+// §3 decompress-and-forward device mode — one shard after another in
+// shard order. Returns the number of bytes written.
 func (e *Engine) Export(w io.Writer) (uint64, error) {
-	if e.router != nil {
-		return 0, ErrSharded
-	}
-	res, err := e.inner.Export(w)
-	return res.RawBytes, err
+	return e.router.Export(w)
 }

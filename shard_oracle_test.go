@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mithrilog/internal/loggen"
@@ -336,15 +337,45 @@ func TestSingleEngineReopen(t *testing.T) {
 }
 
 // TestShardedPersistGuards pins the unsupported-operation contract:
-// sharded engines refuse gob Save/Load/Export and the whole-store passes
-// (SearchBatch, Tag) with ErrSharded.
+// sharded engines refuse gob Save/Load and the whole-store passes
+// (SearchBatch, Tag) with ErrSharded. Export works on a fleet: it writes
+// the shards' exports in shard order.
 func TestShardedPersistGuards(t *testing.T) {
 	e := Open(Config{Shards: 2})
 	if err := e.Save(io.Discard); !errors.Is(err, ErrSharded) {
 		t.Fatalf("Save on sharded engine: %v, want ErrSharded", err)
 	}
-	if _, err := e.Export(io.Discard); !errors.Is(err, ErrSharded) {
-		t.Fatalf("Export on sharded engine: %v, want ErrSharded", err)
+	ds := loggen.Generate(loggen.BGL2, 300, 9)
+	single := Open(Config{})
+	var want bytes.Buffer
+	if err := single.IngestBytes(ds.Lines); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := single.Export(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.IngestBytes(ds.Lines[:200]); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.IngestTenant("acme", ds.Lines[200:]); err != nil {
+		t.Fatal(err)
+	}
+	var got, shards bytes.Buffer
+	n, err := e.Export(&got)
+	if err != nil || n != uint64(got.Len()) {
+		t.Fatalf("Export on sharded engine: %d bytes reported, %d written, err %v", n, got.Len(), err)
+	}
+	for i := 0; i < e.Shards(); i++ {
+		if _, err := e.router.Shard(i).Export(&shards); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(got.Bytes(), shards.Bytes()) {
+		t.Fatal("fleet export is not the shards' exports in shard order")
+	}
+	split := func(b []byte) []string { return strings.Split(strings.TrimSuffix(string(b), "\n"), "\n") }
+	if gs, ws := sortedStrings(split(got.Bytes())), sortedStrings(split(want.Bytes())); !equalLines(gs, ws) {
+		t.Fatalf("fleet export's lines diverge from a single engine's (first diff: %s)", firstDiff(gs, ws))
 	}
 	if _, err := Load(Config{Shards: 2}, bytes.NewReader(nil)); !errors.Is(err, ErrSharded) {
 		t.Fatalf("Load with Shards: %v, want ErrSharded", err)

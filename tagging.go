@@ -33,7 +33,7 @@ type TagResult struct {
 // in the prototype) take multiple passes over the data. Set collect to
 // materialize per-line template IDs in the result.
 func (e *Engine) Tag(lib *TemplateLibrary, collect bool) (TagResult, error) {
-	if e.router != nil {
+	if e.router.NumShards() > 1 {
 		return TagResult{}, ErrSharded
 	}
 	qs := make([]query.Query, 0, lib.lib.Len())
@@ -44,7 +44,7 @@ func (e *Engine) Tag(lib *TemplateLibrary, collect bool) (TagResult, error) {
 		}
 		qs = append(qs, q)
 	}
-	tagger, err := e.inner.NewTagger(qs)
+	tagger, err := e.router.Shard(0).NewTagger(qs)
 	if err != nil {
 		return TagResult{}, err
 	}

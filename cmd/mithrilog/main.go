@@ -64,7 +64,7 @@ func loadStore(path string) *mithrilog.Engine {
 		log.Fatal(err)
 	}
 	defer f.Close()
-	eng, err := mithrilog.Load(mithrilog.Config{}, f)
+	eng, err := mithrilog.Reopen(mithrilog.Config{}, f)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -97,8 +97,10 @@ func runIngest(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer f.Close()
-	if err := eng.Save(f); err != nil {
+	if err := eng.WriteSegments(f); err != nil {
+		log.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		log.Fatal(err)
 	}
 	st := eng.Stats()

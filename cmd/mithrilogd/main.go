@@ -11,10 +11,14 @@
 // With -shards N (N > 1) the daemon runs an N-shard fleet behind the
 // scatter-gather router: ingest accepts a ?tenant= parameter for
 // placement, searches fan out with per-shard deadlines, and /metrics
-// federates every shard's registry. Sharded stores persist as segment
-// streams (WriteSegments/Reopen) rather than the single-engine save
-// format, so a -save file written at -shards 1 cannot be -load-ed at
-// -shards 4 and vice versa.
+// federates every shard's registry.
+//
+// -save writes the store as a checksummed segment stream (WriteSegments)
+// at every -shards value, and -load reopens one (Reopen). A fleet stream
+// records its shard count, and -load adopts it whatever -shards says, so
+// tenant placement survives the restart; a one-shard stream cannot be
+// -load-ed at -shards > 1. A store saved by an earlier build, in the gob
+// save format or a version-1 segment stream, must be re-ingested.
 //
 // Search-shaped endpoints take limit=N (default 100; 0 = count only):
 // the engine returns the N smallest matching lines in byte order — the
@@ -42,7 +46,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	load := flag.String("load", "", "load a saved store at startup")
+	load := flag.String("load", "", "reopen a store saved with -save at startup")
 	save := flag.String("save", "", "save the store to this path (with -save-every, periodically)")
 	saveEvery := flag.Duration("save-every", 0, "periodic save interval (0 = only on demand)")
 	cacheMB := flag.Int64("cache-mb", 64, "decompressed-page cache size in MiB (0 disables)")
@@ -69,14 +73,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("load: %v", err)
 		}
-		if cfg.Shards > 1 {
-			// Sharded stores are segment streams; Reopen also checks
-			// that the stream really is a fleet stream and adopts the
-			// shard count it records.
-			eng, err = mithrilog.Reopen(cfg, f)
-		} else {
-			eng, err = mithrilog.Load(cfg, f)
-		}
+		eng, err = mithrilog.Reopen(cfg, f)
 		f.Close()
 		if err != nil {
 			log.Fatalf("load: %v", err)
@@ -106,25 +103,23 @@ func main() {
 	}
 }
 
-// saveTo writes the store atomically via a temp file rename.
+// saveTo writes the store's segment stream atomically: to a temp file,
+// synced to disk before the rename, so a crash leaves either the old store
+// or the whole new one under path, never a torn one.
 func saveTo(eng *mithrilog.Engine, path string) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	// A sharded engine has no single-engine save format; its durable
-	// form is the fleet segment stream.
-	write := eng.Save
-	if eng.Shards() > 1 {
-		write = eng.WriteSegments
+	err = eng.WriteSegments(f)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := write(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}

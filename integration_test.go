@@ -98,8 +98,8 @@ func TestCrossEngineAgreement(t *testing.T) {
 	}
 }
 
-// TestPersistenceAcrossFacade exercises Save/Load through the public API
-// with a follow-up template workflow on the loaded engine.
+// TestPersistenceAcrossFacade exercises WriteSegments/Reopen through the
+// public API with a follow-up template workflow on the reopened engine.
 func TestPersistenceAcrossFacade(t *testing.T) {
 	lines := sampleLines(2500)
 	eng := Open(Config{})
@@ -107,10 +107,10 @@ func TestPersistenceAcrossFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := eng.Save(&buf); err != nil {
+	if err := eng.WriteSegments(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(Config{}, &buf)
+	loaded, err := Reopen(Config{}, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,15 +123,15 @@ func TestPersistenceAcrossFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a.Matches != b.Matches {
-		t.Fatalf("matches diverged across save/load: %d vs %d", a.Matches, b.Matches)
+		t.Fatalf("matches diverged across WriteSegments/Reopen: %d vs %d", a.Matches, b.Matches)
 	}
-	// Template tagging must work on the loaded engine.
+	// Template tagging must work on the reopened engine.
 	lib := ExtractTemplates(lines, TemplateParams{MaxChildren: 40, MinSupport: 10, MaxDepth: 10})
 	res, err := loaded.Tag(lib, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Lines != uint64(len(lines)) {
-		t.Fatalf("tagging after load: %d lines", res.Lines)
+		t.Fatalf("tagging after reopen: %d lines", res.Lines)
 	}
 }

@@ -76,13 +76,13 @@ var ErrLineTooLong = errors.New("core: line too long for a single data page")
 var ErrNothingIngested = errors.New("core: no data ingested")
 
 // Engine is a MithriLog instance. All exported methods are safe for
-// concurrent use. Mutators (ingest, flush, snapshot, save) serialize on a
-// write lock; queries run concurrently under a shared read lock, each with
-// its own filter-pipeline set drawn from a pool. The simulated-hardware
-// consequence of that concurrency — several queries contending for the
-// device's four physical pipelines — is accounted by hwsim.Arbiter through
-// internal/sched, which fronts the engine with admission control and fills
-// in SearchResult.QueueTime.
+// concurrent use. Mutators (ingest, flush, snapshot, segment writes)
+// serialize on a write lock; queries run concurrently under a shared read
+// lock, each with its own filter-pipeline set drawn from a pool. The
+// simulated-hardware consequence of that concurrency — several queries
+// contending for the device's four physical pipelines — is accounted by
+// hwsim.Arbiter through internal/sched, which fronts the engine with
+// admission control and fills in SearchResult.QueueTime.
 type Engine struct {
 	mu  sync.RWMutex
 	cfg Config
@@ -143,16 +143,23 @@ type IngestProfile struct {
 
 // NewEngine builds an empty MithriLog system.
 func NewEngine(cfg Config) *Engine {
+	dev := storage.New(cfg.Storage)
+	return newEngine(cfg, storage.NewSegmentStore(dev, cfg.Storage.SegmentPages))
+}
+
+// newEngine builds an engine over a segment store and its device, with an
+// empty index.
+func newEngine(cfg Config, store *storage.SegmentStore) *Engine {
 	cfg = cfg.withDefaults()
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	dev := storage.New(cfg.Storage)
+	dev := store.Device()
 	e := &Engine{
 		cfg:        cfg,
 		dev:        dev,
-		store:      storage.NewSegmentStore(dev, cfg.Storage.SegmentPages),
+		store:      store,
 		ix:         index.New(dev, cfg.Index),
 		codec:      lzah.NewCodec(cfg.Compression),
 		cache:      cfg.PageCache,
@@ -193,7 +200,7 @@ func (e *Engine) Obs() *obs.Registry { return e.met.reg }
 // Device exposes the simulated SSD (for stats and benchmarks).
 func (e *Engine) Device() *storage.Device { return e.dev }
 
-// Index exposes the inverted index (for stats and snapshots).
+// Index exposes the inverted index (for stats).
 func (e *Engine) Index() *index.Index { return e.ix }
 
 // RawBytes is the total uncompressed text ingested (incl. newlines).
@@ -347,7 +354,7 @@ func (e *Engine) flushLocked() error {
 	// Flush is the visibility boundary for queries, so it is also the cache
 	// coherence point: drop every cached decompressed page. Data pages are
 	// append-only, so this is conservative, but it guarantees no query ever
-	// observes a stale page even if storage is rewritten (repair, Restore).
+	// observes a stale page even if storage is rewritten (repair).
 	if e.cache != nil {
 		e.cache.InvalidateAll()
 	}
@@ -356,14 +363,16 @@ func (e *Engine) flushLocked() error {
 	return nil
 }
 
-// TakeSnapshot flushes and records a time boundary for range queries.
+// TakeSnapshot flushes and records a time boundary for range queries
+// (§6.3) in the segment store, which persists it with the data pages.
 func (e *Engine) TakeSnapshot(ts time.Time) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if err := e.flushLocked(); err != nil {
 		return err
 	}
-	return e.ix.TakeSnapshot(ts)
+	e.store.Mark(ts)
+	return nil
 }
 
 // flushPending writes the largest prefix of pending lines that fits a

@@ -54,7 +54,7 @@ func ingestGolden(t *testing.T) []byte {
 		if err := e.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		writeIngestGolden(&out, p.Name+" flush", e)
+		writeIngestGolden(t, &out, p.Name+" flush", e)
 		var stream bytes.Buffer
 		if err := e.WriteSegments(&stream); err != nil {
 			t.Fatal(err)
@@ -63,7 +63,7 @@ func ingestGolden(t *testing.T) []byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		writeIngestGolden(&out, p.Name+" reopen", re)
+		writeIngestGolden(t, &out, p.Name+" reopen", re)
 	}
 	return out.Bytes()
 }
@@ -71,12 +71,18 @@ func ingestGolden(t *testing.T) []byte {
 // writeIngestGolden records e's totals, index statistics and footprint,
 // then one digest row per device page: data pages in the order the
 // engine wrote them, leaf and index pages in page-ID order.
-func writeIngestGolden(out *bytes.Buffer, name string, e *Engine) {
+func writeIngestGolden(t *testing.T, out *bytes.Buffer, name string, e *Engine) {
 	st := e.Index().Stats()
 	fmt.Fprintf(out, "# %s pages=%d lines=%d raw=%d comp=%d adds=%d leafnodes=%d rootnodes=%d leafpages=%d indexpages=%d footprint=%d\n",
 		name, e.DataPages(), e.Lines(), e.RawBytes(), e.CompressedBytes(),
 		st.Adds, st.LeafNodes, st.RootNodes, st.LeafPages, st.IndexPages, e.IndexMemoryFootprint())
-	pages := e.Device().Snapshot()
+	pages := make([][]byte, e.dev.NumPages())
+	for id := range pages {
+		pages[id] = make([]byte, storage.PageSize)
+		if err := e.dev.Read(storage.Internal, storage.PageID(id), pages[id]); err != nil {
+			t.Fatal(err)
+		}
+	}
 	data := make(map[storage.PageID]bool, len(e.dataPages))
 	for i, id := range e.dataPages {
 		data[id] = true

@@ -71,7 +71,7 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 		ingestIndexSec: reg.Counter("mithrilog_ingest_index_seconds_total",
 			"Host wall time spent inserting tokens into the inverted index."),
 		flushes: reg.Counter("mithrilog_engine_flushes_total",
-			"Explicit flush operations (Flush, Snapshot, Save)."),
+			"Flush operations (Flush, Snapshot, SealSegments, WriteSegments, Export, and the implicit pre-query flush)."),
 		indexMemoryBytes: reg.Gauge("mithrilog_index_memory_bytes",
 			"Resident in-memory footprint of the inverted index (updated per indexed data page, on flush and on reopen)."),
 		searchQueries: reg.CounterVec("mithrilog_search_queries_total",

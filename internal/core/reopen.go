@@ -9,13 +9,15 @@ import (
 
 // This file is the crash/restart boundary of the engine. WriteSegments
 // serializes everything the engine has accepted into the segment-store
-// stream format (index.meta sidecar plus checksummed segment blobs);
-// ReopenEngine rebuilds a fully functional engine from that stream alone.
-// The inverted index is deliberately NOT part of the stream: it is
-// rebuilt from the decompressed pages by the page indexer ingest uses
-// (indexPage), so the only state that must survive a crash is the sealed,
-// checksummed data — the recovery invariant the multi-shard oracle
-// asserts (no accepted line lost, every query answered identically).
+// stream format (index.meta sidecar plus checksummed segment blobs), which
+// is the only way an engine reaches disk; ReopenEngine rebuilds a fully
+// functional engine from that stream alone. The stream carries the data
+// pages and the §6.3 time boundaries. The inverted index is deliberately
+// NOT part of it: it is rebuilt from the decompressed pages by the page
+// indexer ingest uses (indexPage), so the only state that must survive a
+// crash is the sealed, checksummed data — the recovery invariant the
+// multi-shard oracle asserts (no accepted line lost, every query answered
+// identically).
 
 // WriteSegments flushes buffered lines, seals the active segment, and
 // streams the whole segment store to w in the format ReopenEngine reads.
@@ -31,24 +33,29 @@ func (e *Engine) WriteSegments(w io.Writer) error {
 }
 
 // ReopenEngine rebuilds an engine from a stream produced by
-// WriteSegments. Every segment payload is checksum-verified before a
-// single line is served (storage.OpenSegmentStore rejects the whole
-// stream on any corruption); the index, line counts, and byte totals are
-// reconstructed by decompressing each recovered page and running it
-// through ingest's page indexer. Recovery reads cross the device-internal
-// link — on the real hardware the rebuild runs next to the flash, like
-// ingest.
+// WriteSegments. Every segment payload is checksum-verified before the
+// engine is built (storage.OpenSegmentStore rejects the whole stream on
+// any corruption); ReopenStore then rebuilds the rest.
 func ReopenEngine(cfg Config, r io.Reader) (*Engine, error) {
-	e := NewEngine(cfg)
-	st, err := storage.OpenSegmentStore(e.dev, r)
+	st, err := storage.OpenSegmentStore(storage.New(cfg.Storage), r)
 	if err != nil {
 		return nil, err
 	}
-	e.store = st
-	// Re-register the seal-state gauges over the recovered store; the
-	// registry's Func-replace semantics retire the empty store's closures.
-	storage.RegisterSegmentMetrics(e.met.reg, st)
+	return ReopenStore(cfg, st)
+}
 
+// ReopenStore builds an engine over a store that OpenSegmentStore has
+// verified, on the store's device. The index, line counts, and byte
+// totals are reconstructed by decompressing each recovered page and
+// running it through ingest's page indexer. Recovery reads cross the
+// device-internal link — on the real hardware the rebuild runs next to
+// the flash, like ingest.
+func ReopenStore(cfg Config, st *storage.SegmentStore) (*Engine, error) {
+	e := newEngine(cfg, st)
+	// Nothing else holds e yet; the rebuild takes the write lock anyway, as
+	// ingest does, because it runs ingest's page indexer.
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	dec := lzah.NewCodec(e.cfg.Compression)
 	var raw []byte
 	for _, rec := range st.Records() {

@@ -258,9 +258,9 @@ func (e *Engine) ObserveParseTime(d time.Duration) {
 // Independent lookups are issued concurrently, so the simulated index
 // time is the slowest chain's dependent hops plus the total transfer.
 func (e *Engine) plan(q query.Query, opts SearchOptions) (pages []storage.PageID, indexTime time.Duration, usedIndex bool, err error) {
-	lo, hi := e.rangeBounds(opts)
+	inRange := e.pagesInRange(opts)
 	if opts.NoIndex {
-		return e.pagesInRange(lo, hi), 0, false, nil
+		return inRange, 0, false, nil
 	}
 	totalPages := uint64(len(e.dataPages))
 	union := make(map[storage.PageID]bool)
@@ -304,12 +304,12 @@ func (e *Engine) plan(q query.Query, opts SearchOptions) (pages []storage.PageID
 	}
 	indexTime = maxChain + transfer
 	if fullScan {
-		return e.pagesInRange(lo, hi), indexTime, true, nil
+		return inRange, indexTime, true, nil
 	}
 	// Restrict to the time range and preserve page order (the index
 	// normalized its reverse-chronological lists to ascending, §6.3).
 	out := make([]storage.PageID, 0, len(union))
-	for _, p := range e.pagesInRange(lo, hi) {
+	for _, p := range inRange {
 		if union[p] {
 			out = append(out, p)
 		}
@@ -317,25 +317,21 @@ func (e *Engine) plan(q query.Query, opts SearchOptions) (pages []storage.PageID
 	return out, indexTime, true, nil
 }
 
-func (e *Engine) rangeBounds(opts SearchOptions) (lo, hi storage.PageID) {
-	lo, hi = 0, ^storage.PageID(0)
+// pagesInRange returns the data pages between the time boundaries that
+// enclose opts' From/To range, in page order. The segment store holds the
+// boundaries as page counts, so the range is a slice of dataPages.
+func (e *Engine) pagesInRange(opts SearchOptions) []storage.PageID {
+	lo, hi := 0, len(e.dataPages)
 	if !opts.From.IsZero() {
-		lo = e.ix.PagesBefore(opts.From)
+		lo = e.store.PagesBefore(opts.From)
 	}
 	if !opts.To.IsZero() {
-		hi = e.ix.PagesBefore(opts.To)
+		hi = min(hi, e.store.PagesBefore(opts.To))
 	}
-	return lo, hi
-}
-
-func (e *Engine) pagesInRange(lo, hi storage.PageID) []storage.PageID {
-	var out []storage.PageID
-	for _, p := range e.dataPages {
-		if p >= lo && p < hi {
-			out = append(out, p)
-		}
+	if lo >= hi {
+		return nil
 	}
-	return out
+	return e.dataPages[lo:hi:hi]
 }
 
 func intersectPages(lists [][]storage.PageID) []storage.PageID {

@@ -93,13 +93,6 @@ type bucket struct {
 	count uint64
 }
 
-// Snapshot records a time boundary for coarse-grained time-range queries
-// (§6.3): all data pages with ID below DataHigh were ingested before Time.
-type Snapshot struct {
-	Time     time.Time
-	DataHigh storage.PageID // first data page ID *not* covered
-}
-
 // Index is the inverted index. It is not safe for concurrent use; the
 // ingest path is single-writer by design (append-only logs).
 type Index struct {
@@ -119,9 +112,6 @@ type Index struct {
 	openIndexID   storage.PageID
 	openIndexBuf  []byte
 	openIndexUsed int
-
-	snapshots []Snapshot
-	highData  storage.PageID // highest data page ID seen + 1
 
 	stats Stats
 
@@ -221,9 +211,6 @@ func (ix *Index) Add(token string, page storage.PageID) error {
 		target = b
 	}
 	ix.stats.Adds++
-	if page+1 > ix.highData {
-		ix.highData = page + 1
-	}
 	return ix.push(target, page)
 }
 
@@ -257,9 +244,6 @@ func (ix *Index) AddPage(toks [][]byte, page storage.PageID) error {
 		touched += ix.buckets[p.a].count + ix.buckets[p.b].count
 	}
 	ix.touched = touched
-	if page+1 > ix.highData {
-		ix.highData = page + 1
-	}
 	for _, p := range pairs {
 		target := p.a
 		if ix.buckets[p.b].count < ix.buckets[p.a].count {
@@ -288,8 +272,8 @@ func (ix *Index) push(bi int, page storage.PageID) error {
 
 // reserveBuffers gives a bucket its full leaf and root node buffers on
 // first use, and counts them resident. Reserving them whole models the
-// real ingest memory cost of a partially filled node (§6.1). push and
-// LoadIndex both allocate through it, so there is one accounting path.
+// real ingest memory cost of a partially filled node (§6.1). push is its
+// only caller, so there is one accounting path.
 func (ix *Index) reserveBuffers(b *bucket) {
 	if cap(b.leafBuf) == 0 {
 		b.leafBuf = make([]storage.PageID, 0, ix.params.LeafEntries)
@@ -420,7 +404,7 @@ func (ix *Index) pageBuf(buf []byte) []byte {
 
 // Flush forces all partial buffers into storage: every bucket's leaf and
 // root buffers become (possibly short) nodes, and open pages are written
-// out. Used before snapshots and at end of ingest.
+// out. The engine flushes before each time boundary and at end of ingest.
 func (ix *Index) Flush() error {
 	for i := range ix.buckets {
 		b := &ix.buckets[i]
@@ -442,32 +426,6 @@ func (ix *Index) Flush() error {
 		}
 	}
 	return nil
-}
-
-// TakeSnapshot flushes the in-memory table and records a time boundary:
-// data pages ingested after this call have IDs >= the recorded high-water
-// mark (§6.3).
-func (ix *Index) TakeSnapshot(ts time.Time) error {
-	if err := ix.Flush(); err != nil {
-		return err
-	}
-	ix.snapshots = append(ix.snapshots, Snapshot{Time: ts, DataHigh: ix.highData})
-	return nil
-}
-
-// Snapshots returns the recorded time boundaries in order.
-func (ix *Index) Snapshots() []Snapshot { return ix.snapshots }
-
-// PagesBefore returns the exclusive data-page high-water mark for the
-// newest snapshot not after ts, or 0 if none (nothing ingested before ts).
-func (ix *Index) PagesBefore(ts time.Time) storage.PageID {
-	var hi storage.PageID
-	for _, s := range ix.snapshots {
-		if !s.Time.After(ts) && s.DataHigh > hi {
-			hi = s.DataHigh
-		}
-	}
-	return hi
 }
 
 // LookupResult carries a token's candidate data pages plus the simulated

@@ -182,40 +182,6 @@ func TestLookupUnknownToken(t *testing.T) {
 	_ = res
 }
 
-func TestSnapshots(t *testing.T) {
-	ix, _ := newTestIndex(t, Params{})
-	t0 := time.Date(2021, 10, 18, 0, 0, 0, 0, time.UTC)
-	for p := storage.PageID(0); p < 50; p++ {
-		_ = ix.Add("tok", p)
-	}
-	if err := ix.TakeSnapshot(t0); err != nil {
-		t.Fatal(err)
-	}
-	for p := storage.PageID(50); p < 80; p++ {
-		_ = ix.Add("tok", p)
-	}
-	if err := ix.TakeSnapshot(t0.Add(time.Hour)); err != nil {
-		t.Fatal(err)
-	}
-	if got := ix.PagesBefore(t0); got != 50 {
-		t.Fatalf("PagesBefore(t0) = %d", got)
-	}
-	if got := ix.PagesBefore(t0.Add(2 * time.Hour)); got != 80 {
-		t.Fatalf("PagesBefore(+2h) = %d", got)
-	}
-	if got := ix.PagesBefore(t0.Add(-time.Hour)); got != 0 {
-		t.Fatalf("PagesBefore(-1h) = %d", got)
-	}
-	if len(ix.Snapshots()) != 2 {
-		t.Fatal("snapshot count")
-	}
-	// Lookups still complete after snapshot-forced flushes.
-	res, err := ix.Lookup("tok")
-	if err != nil || len(res.Pages) < 80 {
-		t.Fatalf("lookup after snapshots: %d pages, %v", len(res.Pages), err)
-	}
-}
-
 func TestMemoryFootprintSmall(t *testing.T) {
 	ix, _ := newTestIndex(t, Params{Buckets: 4096})
 	for p := storage.PageID(0); p < 5000; p++ {

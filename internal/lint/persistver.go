@@ -1,8 +1,8 @@
 package lint
 
 // persistver: persistence-format versioning soundness. Every on-disk
-// stream the module writes (save v3, the MLFLEET fleet manifest, the
-// index sidecar, segment meta/data pages) is annotated at its encode and
+// stream the module writes (the MLFLEET fleet manifest, the index.meta
+// sidecar, segment data pages) is annotated at its encode and
 // decode entry points:
 //
 //	//mithrilint:persist encode <stream>

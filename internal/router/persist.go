@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 
@@ -72,55 +71,63 @@ func (r *Router) WriteSegments(w io.Writer) error {
 // count recorded at write time (overriding cfg.Shards — placement is
 // consistent only with the same shard count, so reopening into a
 // different width would silently misroute tenants), and a bare engine
-// stream reopens as one shard, which cfg.Shards > 1 refuses.
+// stream reopens as one shard, which cfg.Shards > 1 refuses. Every
+// shard's segments are checksum-verified before any engine is built, so a
+// damaged stream costs a parse, not a fleet.
 //
 //mithrilint:persist decode fleet
 func Reopen(cfg Config, rd io.Reader) (*Router, error) {
+	open := func(r io.Reader) (*storage.SegmentStore, error) {
+		return storage.OpenSegmentStore(storage.New(cfg.Engine.Storage), r)
+	}
+	var stores []*storage.SegmentStore
 	br := bufio.NewReader(rd)
 	if magic, err := br.Peek(len(fleetMagic)); err != nil || string(magic) != fleetMagic {
 		if cfg.Shards > 1 {
-			return nil, errors.New("router: cfg.Shards > 1 but the stream is not a fleet stream")
+			return nil, fmt.Errorf("%w: cfg.Shards > 1 but the stream is not a fleet stream", storage.ErrSegmentCorrupt)
 		}
-		return build(cfg, 1, func(ecfg core.Config) (*core.Engine, error) {
-			return core.ReopenEngine(ecfg, br)
-		})
-	}
-	hdr := make([]byte, len(fleetMagic)+8)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, fmt.Errorf("%w: fleet header: %v", storage.ErrSegmentCorrupt, err)
-	}
-	ver := binary.LittleEndian.Uint32(hdr[len(fleetMagic):])
-	if ver != fleetVersion {
-		return nil, fmt.Errorf("%w: unsupported fleet version %d", storage.ErrSegmentCorrupt, ver)
-	}
-	nShards := int(binary.LittleEndian.Uint32(hdr[len(fleetMagic)+4:]))
-	if nShards < 1 || nShards > 1024 {
-		return nil, fmt.Errorf("%w: implausible shard count %d", storage.ErrSegmentCorrupt, nShards)
+		st, err := open(br)
+		if err != nil {
+			return nil, err
+		}
+		stores = append(stores, st)
+	} else {
+		hdr := make([]byte, len(fleetMagic)+8)
+		if _, err := io.ReadFull(br, hdr); err != nil {
+			return nil, fmt.Errorf("%w: fleet header: %v", storage.ErrSegmentCorrupt, err)
+		}
+		ver := binary.LittleEndian.Uint32(hdr[len(fleetMagic):])
+		if ver != fleetVersion {
+			return nil, fmt.Errorf("%w: unsupported fleet version %d", storage.ErrSegmentCorrupt, ver)
+		}
+		nShards := int(binary.LittleEndian.Uint32(hdr[len(fleetMagic)+4:]))
+		if nShards < 1 || nShards > 1024 {
+			return nil, fmt.Errorf("%w: implausible shard count %d", storage.ErrSegmentCorrupt, nShards)
+		}
+		for i := 0; i < nShards; i++ {
+			var lenBuf [4]byte
+			if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
+				return nil, fmt.Errorf("%w: shard %d length: %v", storage.ErrSegmentCorrupt, i, err)
+			}
+			n := int64(binary.LittleEndian.Uint32(lenBuf[:]))
+			if n > maxShardBlob {
+				return nil, fmt.Errorf("%w: shard %d: implausible stream length %d", storage.ErrSegmentCorrupt, i, n)
+			}
+			blob := make([]byte, n)
+			if _, err := io.ReadFull(br, blob); err != nil {
+				return nil, fmt.Errorf("%w: shard %d stream: %v", storage.ErrSegmentCorrupt, i, err)
+			}
+			st, err := open(bytes.NewReader(blob))
+			if err != nil {
+				return nil, fmt.Errorf("router: shard %d: %w", i, err)
+			}
+			stores = append(stores, st)
+		}
 	}
 	next := 0
-	return build(cfg, nShards, func(ecfg core.Config) (*core.Engine, error) {
-		i := next
+	return build(cfg, len(stores), func(ecfg core.Config) (*core.Engine, error) {
+		st := stores[next]
 		next++
-		var lenBuf [4]byte
-		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
-			return nil, fmt.Errorf("%w: shard %d length: %v", storage.ErrSegmentCorrupt, i, err)
-		}
-		n := int64(binary.LittleEndian.Uint32(lenBuf[:]))
-		if n > maxShardBlob {
-			return nil, fmt.Errorf("%w: shard %d: implausible stream length %d", storage.ErrSegmentCorrupt, i, n)
-		}
-		blob := make([]byte, n)
-		if _, err := io.ReadFull(br, blob); err != nil {
-			return nil, fmt.Errorf("%w: shard %d stream: %v", storage.ErrSegmentCorrupt, i, err)
-		}
-		return core.ReopenEngine(ecfg, bytes.NewReader(blob))
-	})
-}
-
-// Load rebuilds a one-shard router from a single engine's gob save
-// stream (core.Engine.Save), which has no fleet form.
-func Load(cfg Config, rd io.Reader) (*Router, error) {
-	return build(cfg, 1, func(ecfg core.Config) (*core.Engine, error) {
-		return core.LoadEngine(ecfg, rd)
+		return core.ReopenStore(ecfg, st)
 	})
 }

@@ -132,10 +132,10 @@ func normShards(n int) int {
 }
 
 // build assembles the router shell and constructs each shard's engine
-// through mk (NewEngine for a fresh router, ReopenEngine or LoadEngine for
-// recovery). One shard registers its series in the router's registry, so
-// the exposition stays unlabeled, and runs with no tenant quota and no
-// shard deadline.
+// through mk (NewEngine for a fresh router, ReopenStore for recovery).
+// One shard registers its series in the router's registry, so the
+// exposition stays unlabeled, and runs with no tenant quota and no shard
+// deadline.
 func build(cfg Config, nShards int, mk func(core.Config) (*core.Engine, error)) (*Router, error) {
 	if cfg.Engine.Metrics != nil {
 		return nil, errors.New("router: Config.Engine.Metrics must be unset (each shard gets a private registry)")

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"sync"
+	"time"
 )
 
 // The segment store organizes a device's data pages into append-only
@@ -18,7 +20,9 @@ import (
 // operate on sealed segments as units. An `index.meta` sidecar summarizes
 // the segment set (ids, record counts, per-segment checksums) so a
 // reopener can cross-check every segment blob against an independent
-// manifest before serving a single line from it.
+// manifest before serving a single line from it. The sidecar also carries
+// the §6.3 time boundaries, each stored as a position in the page log,
+// so a reopened store answers time-range queries as the original did.
 //
 // The store is a bookkeeping layer over the simulated Device: pages still
 // live in the device (data pages interleave freely with the inverted
@@ -38,7 +42,9 @@ const DefaultSegmentPages = 64
 const (
 	segMetaMagic = "MLSEGMET"
 	segDataMagic = "MLSEGDAT"
-	segVersion   = 1
+	// segVersion 2: index.meta carries the time-boundary table after the
+	// segment manifest.
+	segVersion = 2
 
 	// maxSegmentPages bounds pagesPerSegment read from untrusted meta
 	// (8192 pages = 32 MiB per segment, far above any configured value).
@@ -82,14 +88,24 @@ type SegmentStats struct {
 	SealedPages, ActivePages int
 }
 
-// SegmentStore tracks the segment membership of a device's data pages.
-// All methods are safe for concurrent use.
+// boundary is one §6.3 time boundary: the first pages data pages were
+// ingested no later than the unix-nanosecond time at. It counts pages
+// rather than naming a PageID, because reopen reassigns page ids.
+type boundary struct {
+	at    int64
+	pages uint32
+}
+
+// SegmentStore tracks the segment membership of a device's data pages and
+// the time boundaries recorded over them. All methods are safe for
+// concurrent use.
 type SegmentStore struct {
 	dev    *Device
 	perSeg int
 
-	mu   sync.Mutex
-	segs []*segment // guarded by mu
+	mu     sync.Mutex
+	segs   []*segment // guarded by mu
+	bounds []boundary // guarded by mu
 }
 
 // NewSegmentStore creates an empty store appending into dev. Pages per
@@ -103,6 +119,47 @@ func NewSegmentStore(dev *Device, pagesPerSegment int) *SegmentStore {
 
 // PagesPerSegment returns the store's segment capacity in pages.
 func (s *SegmentStore) PagesPerSegment() int { return s.perSeg }
+
+// Device returns the device the store appends into.
+func (s *SegmentStore) Device() *Device { return s.dev }
+
+// Mark records a time boundary after every page appended so far.
+func (s *SegmentStore) Mark(ts time.Time) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var pages int
+	for _, seg := range s.segs {
+		pages += len(seg.recs)
+	}
+	s.bounds = append(s.bounds, boundary{at: unixNano(ts), pages: uint32(pages)})
+}
+
+// PagesBefore returns the page count of the newest boundary not after ts,
+// or 0 if there is none: a query bounded at ts reads the pages before it.
+func (s *SegmentStore) PagesBefore(ts time.Time) int {
+	at := unixNano(ts)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var pages uint32
+	for _, b := range s.bounds {
+		if b.at <= at {
+			pages = max(pages, b.pages)
+		}
+	}
+	return int(pages)
+}
+
+// unixNano is ts in Unix nanoseconds, clamped to the int64 range, so a
+// time outside it still orders correctly against every boundary.
+func unixNano(ts time.Time) int64 {
+	switch {
+	case ts.Before(time.Unix(0, math.MinInt64)):
+		return math.MinInt64
+	case ts.After(time.Unix(0, math.MaxInt64)):
+		return math.MaxInt64
+	}
+	return ts.UnixNano()
+}
 
 // Append writes data into a fresh device page, records it in the active
 // segment, and seals the segment when it reaches capacity.
@@ -201,9 +258,10 @@ func (s *SegmentStore) Records() []SegmentRecord {
 // Serialization: index.meta sidecar + per-segment blobs.
 
 // EncodeMeta renders the index.meta sidecar: a manifest of every sealed
-// segment (id, record count, record-table CRC) with its own trailing
-// CRC32. A reopener cross-checks each segment blob against this manifest,
-// so a swapped or truncated segment file is caught even if the blob is
+// segment (id, record count, record-table CRC), then the time-boundary
+// table (unix nanoseconds, pages before), under one trailing CRC32. A
+// reopener cross-checks each segment blob against this manifest, so a
+// swapped or truncated segment file is caught even if the blob is
 // internally consistent.
 //
 //mithrilint:persist encode segmeta
@@ -224,6 +282,11 @@ func (s *SegmentStore) EncodeMeta() ([]byte, error) {
 		b = appendU32(b, seg.id)
 		b = appendU32(b, uint32(len(seg.recs)))
 		b = appendU32(b, seg.crc)
+	}
+	b = appendU32(b, uint32(len(s.bounds)))
+	for _, bd := range s.bounds {
+		b = binary.LittleEndian.AppendUint64(b, uint64(bd.at))
+		b = appendU32(b, bd.pages)
 	}
 	return appendU32(b, crc32.ChecksumIEEE(b)), nil
 }
@@ -319,11 +382,12 @@ func OpenSegmentStore(dev *Device, r io.Reader) (*SegmentStore, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: meta: %v", ErrSegmentCorrupt, err)
 	}
-	manifest, perSeg, err := parseMeta(meta)
+	manifest, perSeg, bounds, err := parseMeta(meta)
 	if err != nil {
 		return nil, err
 	}
 	s := NewSegmentStore(dev, perSeg)
+	s.bounds = bounds
 	for i, want := range manifest {
 		blob, err := readBlob(r)
 		if err != nil {
@@ -345,54 +409,73 @@ type metaEntry struct {
 	crc  uint32
 }
 
-// parseMeta validates and decodes the index.meta sidecar manifest.
+// parseMeta validates and decodes the index.meta sidecar: the segment
+// manifest, the pages per segment, and the time boundaries.
 //
 //mithrilint:persist decode segmeta
-func parseMeta(b []byte) ([]metaEntry, int, error) {
+func parseMeta(b []byte) ([]metaEntry, int, []boundary, error) {
 	c := cursor{b: b}
 	if !c.magic(segMetaMagic) {
-		return nil, 0, fmt.Errorf("%w: bad meta magic", ErrSegmentCorrupt)
+		return nil, 0, nil, fmt.Errorf("%w: bad meta magic", ErrSegmentCorrupt)
 	}
 	// The trailing CRC covers everything before it.
 	if len(b) < len(segMetaMagic)+4 {
-		return nil, 0, fmt.Errorf("%w: meta truncated", ErrSegmentCorrupt)
+		return nil, 0, nil, fmt.Errorf("%w: meta truncated", ErrSegmentCorrupt)
 	}
 	body, tail := b[:len(b)-4], binary.LittleEndian.Uint32(b[len(b)-4:])
 	if crc32.ChecksumIEEE(body) != tail {
-		return nil, 0, fmt.Errorf("%w: meta checksum mismatch", ErrSegmentCorrupt)
+		return nil, 0, nil, fmt.Errorf("%w: meta checksum mismatch", ErrSegmentCorrupt)
 	}
+	c.b = body
 	ver, ok := c.u32()
 	if !ok || ver != segVersion {
-		return nil, 0, fmt.Errorf("%w: unsupported meta version", ErrSegmentCorrupt)
+		return nil, 0, nil, fmt.Errorf("%w: unsupported meta version", ErrSegmentCorrupt)
 	}
 	perSeg, ok := c.u32()
 	if !ok || perSeg == 0 || perSeg > maxSegmentPages {
-		return nil, 0, fmt.Errorf("%w: implausible pages-per-segment", ErrSegmentCorrupt)
+		return nil, 0, nil, fmt.Errorf("%w: implausible pages-per-segment", ErrSegmentCorrupt)
 	}
 	nSegs, ok := c.u32()
 	if !ok || nSegs > maxSegments {
-		return nil, 0, fmt.Errorf("%w: implausible segment count", ErrSegmentCorrupt)
+		return nil, 0, nil, fmt.Errorf("%w: implausible segment count", ErrSegmentCorrupt)
 	}
 	entries := make([]metaEntry, 0, nSegs)
+	var pages uint64
 	for i := uint32(0); i < nSegs; i++ {
 		id, ok1 := c.u32()
 		recs, ok2 := c.u32()
 		crc, ok3 := c.u32()
 		if !ok1 || !ok2 || !ok3 {
-			return nil, 0, fmt.Errorf("%w: meta truncated", ErrSegmentCorrupt)
+			return nil, 0, nil, fmt.Errorf("%w: meta truncated", ErrSegmentCorrupt)
 		}
 		if id != i {
-			return nil, 0, fmt.Errorf("%w: meta segment ids not sequential", ErrSegmentCorrupt)
+			return nil, 0, nil, fmt.Errorf("%w: meta segment ids not sequential", ErrSegmentCorrupt)
 		}
 		if recs == 0 || recs > perSeg {
-			return nil, 0, fmt.Errorf("%w: meta segment %d has %d records (cap %d)", ErrSegmentCorrupt, i, recs, perSeg)
+			return nil, 0, nil, fmt.Errorf("%w: meta segment %d has %d records (cap %d)", ErrSegmentCorrupt, i, recs, perSeg)
 		}
 		entries = append(entries, metaEntry{id: id, recs: recs, crc: crc})
+		pages += uint64(recs)
 	}
-	if c.off != len(b)-4 {
-		return nil, 0, fmt.Errorf("%w: meta has trailing bytes", ErrSegmentCorrupt)
+	// Each boundary is 12 bytes, so once the count fits what is left, no
+	// read below can run short.
+	nBounds, ok := c.u32()
+	if !ok || uint64(nBounds)*12 > uint64(len(c.b)-c.off) {
+		return nil, 0, nil, fmt.Errorf("%w: meta truncated", ErrSegmentCorrupt)
 	}
-	return entries, int(perSeg), nil
+	bounds := make([]boundary, 0, nBounds)
+	for i := uint32(0); i < nBounds; i++ {
+		at, _ := c.u64()
+		n, _ := c.u32()
+		if uint64(n) > pages || (i > 0 && n < bounds[i-1].pages) {
+			return nil, 0, nil, fmt.Errorf("%w: meta boundary %d at page %d is out of order", ErrSegmentCorrupt, i, n)
+		}
+		bounds = append(bounds, boundary{at: int64(at), pages: n})
+	}
+	if c.off != len(c.b) {
+		return nil, 0, nil, fmt.Errorf("%w: meta has trailing bytes", ErrSegmentCorrupt)
+	}
+	return entries, int(perSeg), bounds, nil
 }
 
 // parseSegment validates one blob against its manifest row and appends
@@ -492,6 +575,15 @@ func (c *cursor) u32() (uint32, bool) {
 	return v, true
 }
 
+func (c *cursor) u64() (uint64, bool) {
+	if len(c.b)-c.off < 8 {
+		return 0, false
+	}
+	v := binary.LittleEndian.Uint64(c.b[c.off:])
+	c.off += 8
+	return v, true
+}
+
 func (c *cursor) bytes(n int) ([]byte, bool) {
 	if n < 0 || len(c.b)-c.off < n {
 		return nil, false
@@ -503,76 +595,4 @@ func (c *cursor) bytes(n int) ([]byte, bool) {
 
 func appendU32(b []byte, v uint32) []byte {
 	return binary.LittleEndian.AppendUint32(b, v)
-}
-
-// ---------------------------------------------------------------------------
-// Gob persistence bridge (core's savedEngine carries the store's state so
-// a Save/Load round trip preserves segment boundaries and checksums).
-
-// SavedSegments is the serializable form of a store's bookkeeping. Page
-// contents live in the device snapshot, not here.
-type SavedSegments struct {
-	PerSeg int
-	Segs   []SavedSegment
-}
-
-// SavedSegment is one segment's saved record table.
-type SavedSegment struct {
-	ID     uint32
-	Sealed bool
-	Pages  []uint32
-	Lens   []uint32
-	CRCs   []uint32
-}
-
-// Save snapshots the store for serialization.
-func (s *SegmentStore) Save() *SavedSegments {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sv := &SavedSegments{PerSeg: s.perSeg}
-	for _, seg := range s.segs {
-		ss := SavedSegment{ID: seg.id, Sealed: seg.sealed}
-		for _, r := range seg.recs {
-			ss.Pages = append(ss.Pages, uint32(r.Page))
-			ss.Lens = append(ss.Lens, r.Len)
-			ss.CRCs = append(ss.CRCs, r.CRC)
-		}
-		sv.Segs = append(sv.Segs, ss)
-	}
-	return sv
-}
-
-// LoadSegmentStore rebuilds a store over an already-restored device,
-// verifying every record's checksum against the device contents before
-// trusting it.
-func LoadSegmentStore(dev *Device, sv *SavedSegments) (*SegmentStore, error) {
-	if sv == nil {
-		return NewSegmentStore(dev, 0), nil
-	}
-	s := NewSegmentStore(dev, sv.PerSeg)
-	for i, ss := range sv.Segs {
-		if len(ss.Pages) != len(ss.Lens) || len(ss.Pages) != len(ss.CRCs) {
-			return nil, fmt.Errorf("%w: saved segment %d has ragged record table", ErrSegmentCorrupt, i)
-		}
-		seg := &segment{id: ss.ID, sealed: ss.Sealed}
-		for j := range ss.Pages {
-			length := ss.Lens[j]
-			if length == 0 || length > PageSize {
-				return nil, fmt.Errorf("%w: saved segment %d record %d: bad length", ErrSegmentCorrupt, i, j)
-			}
-			page, err := dev.pageView(PageID(ss.Pages[j]))
-			if err != nil {
-				return nil, err
-			}
-			if crc32.ChecksumIEEE(page[:length]) != ss.CRCs[j] {
-				return nil, fmt.Errorf("%w: saved segment %d record %d: payload checksum mismatch", ErrSegmentCorrupt, i, j)
-			}
-			seg.recs = append(seg.recs, SegmentRecord{Page: PageID(ss.Pages[j]), Len: length, CRC: ss.CRCs[j]})
-		}
-		if seg.sealed {
-			seg.crc = recordTableCRC(seg.recs)
-		}
-		s.segs = append(s.segs, seg)
-	}
-	return s, nil
 }

@@ -2,16 +2,19 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"hash/crc32"
 	"testing"
+	"time"
 )
 
 // FuzzSegmentReopen feeds arbitrary bytes to OpenSegmentStore and asserts
-// the two safety properties of the reopen path: it never panics, and when
-// it accepts a stream, every record it would serve passes its checksum.
-// The seed corpus covers the interesting neighborhood: a valid stream,
-// bit-flipped variants (header, manifest, payload, checksum positions),
-// and truncations at structural boundaries.
+// the safety properties of the reopen path: it never panics, and when it
+// accepts a stream, every record it would serve passes its checksum and
+// its time boundaries are in page order and within the record count. The
+// seed corpus covers the interesting neighborhood: a valid stream with
+// boundaries, bit-flipped variants (header, manifest, boundary table,
+// payload, checksum positions), and truncations at structural boundaries.
 func FuzzSegmentReopen(f *testing.F) {
 	valid := buildValidStream(f)
 	f.Add(valid)
@@ -34,6 +37,10 @@ func FuzzSegmentReopen(f *testing.F) {
 	}
 	// An absurd length prefix must be bounded, not allocated.
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x00})
+	// A flip in the time-boundary table, just before the meta checksum.
+	mut := append([]byte(nil), valid...)
+	mut[metaEnd(valid)-6] ^= 0x01
+	f.Add(mut)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dev := New(Config{MaxPages: 4096})
@@ -41,7 +48,13 @@ func FuzzSegmentReopen(f *testing.F) {
 		if err != nil {
 			return // rejected cleanly: the property we want
 		}
-		for i, r := range s.Records() {
+		recs := s.Records()
+		for i, b := range s.bounds {
+			if int(b.pages) > len(recs) || (i > 0 && b.pages < s.bounds[i-1].pages) {
+				t.Fatalf("accepted store has boundary %d at page %d of %d, after %v", i, b.pages, len(recs), s.bounds[:i])
+			}
+		}
+		for i, r := range recs {
 			page, verr := dev.View(Internal, r.Page)
 			if verr != nil {
 				t.Fatalf("accepted store serves unreadable record %d: %v", i, verr)
@@ -56,7 +69,8 @@ func FuzzSegmentReopen(f *testing.F) {
 	})
 }
 
-// buildValidStream serializes a small multi-segment store.
+// buildValidStream serializes a small multi-segment store with two time
+// boundaries.
 func buildValidStream(f *testing.F) []byte {
 	f.Helper()
 	dev := New(Config{})
@@ -66,6 +80,9 @@ func buildValidStream(f *testing.F) []byte {
 		if _, err := s.Append(line); err != nil {
 			f.Fatal(err)
 		}
+		if i == 1 || i == 4 {
+			s.Mark(time.Unix(1_700_000_000+int64(i), 0))
+		}
 	}
 	s.Seal()
 	var buf bytes.Buffer
@@ -73,4 +90,9 @@ func buildValidStream(f *testing.F) []byte {
 		f.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// metaEnd is the stream offset just past the length-prefixed meta blob.
+func metaEnd(stream []byte) int {
+	return 4 + int(binary.LittleEndian.Uint32(stream))
 }

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"testing"
+	"time"
 )
 
 // fillStore appends n distinct payloads and returns them.
@@ -150,28 +152,47 @@ func verifyStore(t *testing.T, s *SegmentStore) {
 	}
 }
 
-func TestSegmentStoreSaveLoadBridge(t *testing.T) {
-	dev := New(Config{})
-	s := NewSegmentStore(dev, 4)
-	fillStore(t, s, 6)
-
-	sv := s.Save()
-	s2, err := LoadSegmentStore(dev, sv)
+// TestSegmentStoreBoundaries pins the §6.3 time boundaries: a query time
+// resolves to the page count of the newest boundary not after it (0 when
+// there is none), times past the int64 nanosecond range order correctly,
+// and WriteTo → OpenSegmentStore carries the table unchanged.
+func TestSegmentStoreBoundaries(t *testing.T) {
+	s := NewSegmentStore(New(Config{}), 4)
+	t0 := time.Date(2021, 10, 18, 0, 0, 0, 0, time.UTC)
+	fillStore(t, s, 5)
+	s.Mark(t0)
+	fillStore(t, s, 3)
+	s.Mark(t0.Add(time.Hour))
+	s.Mark(t0.Add(2 * time.Hour)) // nothing appended since the last mark
+	fillStore(t, s, 2)
+	s.Seal()
+	var buf bytes.Buffer
+	if _, err := s.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenSegmentStore(New(Config{}), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := s2.Stats(), s.Stats(); got != want {
-		t.Fatalf("loaded stats = %+v, want %+v", got, want)
+	for _, st := range []*SegmentStore{s, re} {
+		for _, c := range []struct {
+			at   time.Time
+			want int
+		}{
+			{time.Time{}, 0},
+			{t0.Add(-time.Nanosecond), 0},
+			{t0, 5},
+			{t0.Add(59 * time.Minute), 5},
+			{t0.Add(time.Hour), 8},
+			{t0.Add(3 * time.Hour), 8},
+			{time.Date(3000, 1, 1, 0, 0, 0, 0, time.UTC), 8},
+		} {
+			if got := st.PagesBefore(c.at); got != c.want {
+				t.Errorf("PagesBefore(%v) = %d, want %d", c.at, got, c.want)
+			}
+		}
 	}
-
-	// A corrupted device page must be caught at load.
-	recs := s.Records()
-	bad := make([]byte, PageSize)
-	copy(bad, "corrupted")
-	if err := dev.Write(recs[2].Page, bad); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadSegmentStore(dev, sv); !errors.Is(err, ErrSegmentCorrupt) {
-		t.Fatalf("load over corrupted page: err = %v, want ErrSegmentCorrupt", err)
+	if !slices.Equal(re.bounds, s.bounds) {
+		t.Fatalf("reopened boundaries %v, want %v", re.bounds, s.bounds)
 	}
 }

@@ -235,8 +235,8 @@ func (d *Device) View(link Link, id PageID) ([]byte, error) {
 }
 
 // pageView returns the page contents without link accounting. It serves
-// the persistence paths (segment encode, saved-state verification), which
-// are host-side maintenance operations, not simulated device traffic.
+// segment encoding, a host-side maintenance operation, not simulated
+// device traffic.
 func (d *Device) pageView(id PageID) ([]byte, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()

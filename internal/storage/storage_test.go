@@ -179,3 +179,20 @@ func TestConcurrentAccess(t *testing.T) {
 		t.Fatalf("reads = %d", got)
 	}
 }
+
+func TestFaultInjection(t *testing.T) {
+	d := New(Config{})
+	id, _ := d.Append([]byte("x"))
+	injected := errors.New("boom")
+	d.FailNextReads(2, injected)
+	buf := make([]byte, PageSize)
+	if err := d.Read(Internal, id, buf); !errors.Is(err, injected) {
+		t.Fatalf("first read: %v", err)
+	}
+	if _, err := d.View(External, id); !errors.Is(err, injected) {
+		t.Fatalf("second read: %v", err)
+	}
+	if err := d.Read(Internal, id, buf); err != nil {
+		t.Fatalf("fault should be exhausted: %v", err)
+	}
+}

@@ -175,7 +175,7 @@ func fromRouter(r *router.Router, err error) (*Engine, error) {
 // Close waits for in-flight operations to drain and flushes every shard,
 // at every width. After it, ingest, Flush, Snapshot, every search,
 // WriteSegments and Export fail with ErrClosed; the single-engine passes
-// Save, SearchBatch and Tag do not check. Close is idempotent.
+// SearchBatch and Tag do not check. Close is idempotent.
 func (e *Engine) Close() error {
 	return e.router.Close()
 }
@@ -245,6 +245,7 @@ func (e *Engine) Flush() error {
 }
 
 // Snapshot records a time boundary for Range queries (§6.3).
+// WriteSegments persists the boundaries, so they survive Reopen.
 func (e *Engine) Snapshot(ts time.Time) error {
 	return e.router.Snapshot(ts)
 }

@@ -7,53 +7,31 @@ import (
 	"mithrilog/internal/router"
 )
 
-// ErrSharded reports an operation that needs the single-engine layout
-// called on a sharded engine: the whole-store passes (Tag, SearchBatch and
-// the analytics built on them) and the gob Save/Load. Fleets persist
-// through WriteSegments/Reopen instead, whose stream carries the shard
-// count so placement stays consistent across restarts.
-var ErrSharded = errors.New("mithrilog: operation needs a single engine and is not supported with Config.Shards > 1 (fleets persist through WriteSegments/Reopen)")
+// ErrSharded reports a whole-store pass — SearchBatch, Tag, and the
+// analytics built on them — called on a sharded engine. Those passes need
+// the single-engine layout; every other operation, persistence included,
+// works at every width.
+var ErrSharded = errors.New("mithrilog: operation needs a single engine and is not supported with Config.Shards > 1")
 
-// Save serializes the engine's persistent state — storage pages (data +
-// in-storage index nodes), the in-memory index tables, and metadata — so
-// an ingested log can be queried later without re-ingesting. Buffered
-// lines are flushed first. Sharded engines persist through WriteSegments.
-func (e *Engine) Save(w io.Writer) error {
-	if e.router.NumShards() > 1 {
-		return ErrSharded
-	}
-	return e.router.Shard(0).Save(w)
-}
-
-// Load reconstructs an engine previously written with Save. cfg supplies
-// the hardware model (pipelines, bandwidths) and the scheduler/cache
-// settings; the index geometry comes from the file. cfg.Shards must be
-// unset: Save streams are single-engine (see Reopen for fleets).
-func Load(cfg Config, r io.Reader) (*Engine, error) {
-	if cfg.Shards > 1 {
-		return nil, ErrSharded
-	}
-	return fromRouter(router.Load(cfg.toRouter(), r))
-}
-
-// WriteSegments writes the engine's sealed-segment stream: buffered lines
-// are flushed, the active segment is sealed, and every segment's pages
-// plus the checksummed index.meta manifest go to w. A sharded engine
-// writes a fleet stream (shard count + one segment stream per shard).
-// Reopen rebuilds a byte-identical engine from the stream; unlike Save
-// it carries no index tables — Reopen re-derives them from the data, so
-// the stream survives index-geometry changes and is the crash-recovery
-// format the reopen oracle exercises.
+// WriteSegments writes the engine's sealed-segment stream, the one
+// persistence format: buffered lines are flushed, the active segment is
+// sealed, and every segment's pages plus the checksummed index.meta
+// manifest — which also carries the Snapshot time boundaries — go to w.
+// A sharded engine writes a fleet stream (shard count + one segment
+// stream per shard). The stream holds no index tables: Reopen re-derives
+// them from the data, so the stream survives index-geometry changes.
 func (e *Engine) WriteSegments(w io.Writer) error {
 	return e.router.WriteSegments(w)
 }
 
 // Reopen rebuilds an engine from a WriteSegments stream, verifying every
-// segment checksum and re-deriving the index from the stored pages. The
+// segment checksum and re-deriving the index from the stored pages. cfg
+// supplies the hardware model and the scheduler and cache settings. The
 // stream's own shape decides the fleet: a fleet stream reopens as a
 // sharded engine with the shard count recorded at write time (overriding
 // cfg.Shards, so tenant placement stays consistent); a single-engine
-// stream reopens as a single engine, and fails with cfg.Shards > 1.
+// stream reopens as a single engine, and fails with cfg.Shards > 1. A
+// damaged or truncated stream is rejected before any engine is built.
 func Reopen(cfg Config, r io.Reader) (*Engine, error) {
 	return fromRouter(router.Reopen(cfg.toRouter(), r))
 }

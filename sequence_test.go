@@ -18,7 +18,8 @@ import (
 // facade operations runs against a single engine (Config{}), a one-shard
 // fleet (Config{Shards: 1}) and a four-shard fleet, each with and without
 // the page cache, and against a model — the accepted lines as a []string,
-// token queries through query.Match and regexes through Go regexp. After
+// the line count at each snapshot for From/To ranges, token queries
+// through query.Match and regexes through Go regexp. After
 // every step each configuration must agree with the model: the same
 // errors.Is sentinel (or none), the same match count, the same line
 // multiset. A width-1 engine must also return unlimited lines in ingest
@@ -47,6 +48,24 @@ type seqStep struct {
 	expr   string        // seqSearch: a token query; seqRegex: a pattern
 	search SearchOptions // seqSearch (Tenant comes from tenant)
 	regex  RegexOptions  // seqRegex
+	ts     time.Time     // seqSnapshot; zero means seqT0
+}
+
+// The program's two snapshot times, and the From and To of its ranged
+// searches: From falls between the snapshots, To is the second one.
+var (
+	seqT0   = time.Unix(1_700_000_000, 0)
+	seqT1   = seqT0.Add(time.Hour)
+	seqFrom = seqT0.Add(30 * time.Minute)
+	seqTo   = seqT1
+)
+
+// at is a snapshot step's time.
+func (s seqStep) at() time.Time {
+	if s.ts.IsZero() {
+		return seqT0
+	}
+	return s.ts
 }
 
 func (s seqStep) String() string {
@@ -56,6 +75,14 @@ func (s seqStep) String() string {
 		out += fmt.Sprintf(" %d lines", len(s.lines))
 	case seqSearch:
 		out += fmt.Sprintf(" %q collect=%v limit=%d noindex=%v", s.expr, s.search.CollectLines, s.search.Limit, s.search.NoIndex)
+		if !s.search.From.IsZero() {
+			out += " from=" + s.search.From.Format(time.TimeOnly)
+		}
+		if !s.search.To.IsZero() {
+			out += " to=" + s.search.To.Format(time.TimeOnly)
+		}
+	case seqSnapshot:
+		out += " at " + s.at().Format(time.TimeOnly)
 	case seqRegex:
 		out += fmt.Sprintf(" %q collect=%v limit=%d noprefilter=%v", s.expr, s.regex.CollectLines, s.regex.Limit, s.regex.NoPrefilter)
 	}
@@ -73,9 +100,10 @@ type seqOut struct {
 	collect bool     // lines are part of the answer
 }
 
-// seqModel is the reference: every accepted line in ingest order.
+// seqModel is the reference: every accepted line in ingest order, and the
+// line count at each snapshot (rangeModel).
 type seqModel struct {
-	lines  []string
+	rangeModel
 	closed bool
 }
 
@@ -95,15 +123,17 @@ func (m *seqModel) apply(s seqStep) seqOut {
 			}
 		}
 		m.lines = append(m.lines, s.lines...)
+	case seqSnapshot:
+		m.bounds = append(m.bounds, rangeBound{s.at(), len(m.lines)})
 	case seqSearch:
 		q, err := query.Parse(s.expr)
 		if err != nil {
 			panic(err)
 		}
-		return m.answer(func(l string) bool { return q.Match(l) }, s.search.CollectLines, s.search.Limit)
+		return m.answer(m.window(s.search), func(l string) bool { return q.Match(l) }, s.search.CollectLines, s.search.Limit)
 	case seqRegex:
 		re := regexp.MustCompile(s.expr)
-		return m.answer(re.MatchString, s.regex.CollectLines, s.regex.Limit)
+		return m.answer(m.lines, re.MatchString, s.regex.CollectLines, s.regex.Limit)
 	case seqExport:
 		return seqOut{lines: append([]string(nil), m.lines...), collect: true}
 	case seqClose:
@@ -112,14 +142,15 @@ func (m *seqModel) apply(s seqStep) seqOut {
 	return seqOut{}
 }
 
-// answer is a query's model result: the matching lines in ingest order,
-// or the limit smallest in byte order.
-func (m *seqModel) answer(match func(string) bool, collect bool, limit int) seqOut {
+// answer is a query's model result over lines, the accepted lines in its
+// time range: the matching ones in ingest order, or the limit smallest in
+// byte order.
+func (m *seqModel) answer(lines []string, match func(string) bool, collect bool, limit int) seqOut {
 	if len(m.lines) == 0 {
 		return seqOut{err: core.ErrNothingIngested}
 	}
 	var hits []string
-	for _, l := range m.lines {
+	for _, l := range lines {
 		if match(l) {
 			hits = append(hits, l)
 		}
@@ -151,7 +182,7 @@ func seqRun(t *testing.T, cfg Config, e **Engine, s seqStep) seqOut {
 	case seqFlush:
 		return seqOut{err: eng.Flush()}
 	case seqSnapshot:
-		return seqOut{err: eng.Snapshot(time.Unix(1_700_000_000, 0))}
+		return seqOut{err: eng.Snapshot(s.at())}
 	case seqSearch:
 		opts := s.search
 		opts.Tenant = s.tenant
@@ -240,6 +271,9 @@ func seqQueries(tenant string, exprs, patterns []string) []seqStep {
 			{CollectLines: true, Limit: 5},
 			{CollectLines: true, NoIndex: true},
 			{CollectLines: true, NoIndex: true, Limit: 3},
+			{CollectLines: true, From: seqFrom},
+			{CollectLines: true, To: seqTo},
+			{CollectLines: true, From: seqFrom, To: seqTo},
 		} {
 			out = append(out, seqStep{kind: seqSearch, tenant: tenant, expr: expr, search: o})
 		}
@@ -280,9 +314,11 @@ func seqProgram() []seqStep {
 	step(seqQueries("globex", []string{"globex"}, []string{`^globex .*code=2`})...)
 	step(seqStep{kind: seqIngest, lines: append(seqLines("svc", 30, 11), tooLong)},
 		seqStep{kind: seqIngest, tenant: "acme", lines: []string{"acme ok", tooLong}},
+		seqStep{kind: seqSnapshot, ts: seqT1},
 		seqStep{kind: seqIngest, lines: seqLines("svc", 150, 13)},
-		seqStep{kind: seqExport},
-		seqStep{kind: seqReopen})
+		seqStep{kind: seqExport})
+	step(seqQueries("", exprs, nil)...)
+	step(seqStep{kind: seqReopen})
 	step(seqQueries("", exprs, patterns)...)
 	step(seqQueries("acme", []string{"acme AND failed"}, nil)...)
 	step(seqStep{kind: seqIngest, tenant: "acme", lines: seqLines("acme", 40, 17)})
@@ -290,8 +326,9 @@ func seqProgram() []seqStep {
 	step(seqQueries("", []string{"heartbeat", "failed"}, nil)...)
 	step(seqStep{kind: seqExport},
 		seqStep{kind: seqReopen},
-		seqStep{kind: seqIngest, lines: seqLines("svc", 20, 19)},
-		seqStep{kind: seqClose})
+		seqStep{kind: seqIngest, lines: seqLines("svc", 20, 19)})
+	step(seqQueries("", []string{"heartbeat", "failed"}, nil)...)
+	step(seqStep{kind: seqClose})
 	// After Close, every operation refuses with ErrClosed at every width.
 	step(seqStep{kind: seqIngest, lines: seqLines("svc", 5, 23)},
 		seqStep{kind: seqIngest, tenant: "acme", lines: seqLines("acme", 5, 23)},

@@ -337,14 +337,11 @@ func TestSingleEngineReopen(t *testing.T) {
 }
 
 // TestShardedPersistGuards pins the unsupported-operation contract:
-// sharded engines refuse gob Save/Load and the whole-store passes
-// (SearchBatch, Tag) with ErrSharded. Export works on a fleet: it writes
-// the shards' exports in shard order.
+// sharded engines refuse the whole-store passes (SearchBatch, Tag) with
+// ErrSharded. Export works on a fleet: it writes the shards' exports in
+// shard order.
 func TestShardedPersistGuards(t *testing.T) {
 	e := Open(Config{Shards: 2})
-	if err := e.Save(io.Discard); !errors.Is(err, ErrSharded) {
-		t.Fatalf("Save on sharded engine: %v, want ErrSharded", err)
-	}
 	ds := loggen.Generate(loggen.BGL2, 300, 9)
 	single := Open(Config{})
 	var want bytes.Buffer
@@ -376,9 +373,6 @@ func TestShardedPersistGuards(t *testing.T) {
 	split := func(b []byte) []string { return strings.Split(strings.TrimSuffix(string(b), "\n"), "\n") }
 	if gs, ws := sortedStrings(split(got.Bytes())), sortedStrings(split(want.Bytes())); !equalLines(gs, ws) {
 		t.Fatalf("fleet export's lines diverge from a single engine's (first diff: %s)", firstDiff(gs, ws))
-	}
-	if _, err := Load(Config{Shards: 2}, bytes.NewReader(nil)); !errors.Is(err, ErrSharded) {
-		t.Fatalf("Load with Shards: %v, want ErrSharded", err)
 	}
 	if _, err := e.SearchBatch([]Query{MustParseQuery("a")}); !errors.Is(err, ErrSharded) {
 		t.Fatalf("SearchBatch on sharded engine: %v, want ErrSharded", err)

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"time"
@@ -26,104 +27,111 @@ func main() {
 	seed := flag.Int64("seed", 1, "batch sampling seed")
 	flag.Parse()
 
-	opts := bench.Options{
+	start := time.Now()
+	err := run(os.Stdout, bench.Options{
 		Lines:   *lines,
 		Singles: *singles,
 		Pairs:   *pairs,
 		Octets:  *octets,
 		Seed:    *seed,
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
+	log.Printf("experiment suite completed in %v", time.Since(start).Round(time.Millisecond))
+}
 
-	out := os.Stdout
+// run prints every table, figure, extension and ablation to w, in the
+// order EXPERIMENTS.md records them. Progress notes go to the log.
+func run(w io.Writer, opts bench.Options) error {
 	start := time.Now()
-	fmt.Fprintf(out, "MithriLog experiment suite (lines=%d singles=%d pairs=%d octets=%d)\n\n",
-		*lines, *singles, *pairs, *octets)
+	fmt.Fprintf(w, "MithriLog experiment suite (lines=%d singles=%d pairs=%d octets=%d)\n\n",
+		opts.Lines, opts.Singles, opts.Pairs, opts.Octets)
 
-	fmt.Fprintln(out, bench.FormatTable1(bench.Table1(opts)))
-	fmt.Fprintln(out, bench.FormatTable2(bench.Table2()))
-	fmt.Fprintln(out, bench.FormatTable3(bench.Table3()))
-	fmt.Fprintln(out, bench.FormatTable4(bench.Table4()))
+	fmt.Fprintln(w, bench.FormatTable1(bench.Table1(opts)))
+	fmt.Fprintln(w, bench.FormatTable2(bench.Table2()))
+	fmt.Fprintln(w, bench.FormatTable3(bench.Table3()))
+	fmt.Fprintln(w, bench.FormatTable4(bench.Table4()))
 
 	t5, err := bench.Table5(opts)
 	if err != nil {
-		log.Fatalf("table 5: %v", err)
+		return fmt.Errorf("table 5: %v", err)
 	}
-	fmt.Fprintln(out, bench.FormatTable5(t5))
+	fmt.Fprintln(w, bench.FormatTable5(t5))
 
 	log.Printf("building workloads (4 datasets, all systems)...")
 	ws, err := bench.BuildAll(opts)
 	if err != nil {
-		log.Fatalf("workloads: %v", err)
+		return fmt.Errorf("workloads: %v", err)
 	}
 	log.Printf("workloads ready after %v", time.Since(start).Round(time.Millisecond))
 
 	t6, err := bench.Table6(ws)
 	if err != nil {
-		log.Fatalf("table 6: %v", err)
+		return fmt.Errorf("table 6: %v", err)
 	}
-	fmt.Fprintln(out, bench.FormatTable6(t6))
+	fmt.Fprintln(w, bench.FormatTable6(t6))
 
 	t7, err := bench.Table7(ws)
 	if err != nil {
-		log.Fatalf("table 7: %v", err)
+		return fmt.Errorf("table 7: %v", err)
 	}
-	fmt.Fprintln(out, bench.FormatTable7(t7))
-	fmt.Fprintln(out, bench.FormatTable8(bench.Table8()))
+	fmt.Fprintln(w, bench.FormatTable7(t7))
+	fmt.Fprintln(w, bench.FormatTable8(bench.Table8()))
 
-	fmt.Fprintln(out, bench.FormatFigure13(bench.Figure13(opts)))
+	fmt.Fprintln(w, bench.FormatFigure13(bench.Figure13(opts)))
 
 	f14, err := bench.Figure14(ws)
 	if err != nil {
-		log.Fatalf("figure 14: %v", err)
+		return fmt.Errorf("figure 14: %v", err)
 	}
-	fmt.Fprintln(out, bench.FormatFigure14(f14))
+	fmt.Fprintln(w, bench.FormatFigure14(f14))
 
 	f15, err := bench.Figure15(ws)
 	if err != nil {
-		log.Fatalf("figure 15: %v", err)
+		return fmt.Errorf("figure 15: %v", err)
 	}
-	fmt.Fprintln(out, bench.FormatFigure15(f15))
+	fmt.Fprintln(w, bench.FormatFigure15(f15))
 
 	f16, err := bench.Figure16(ws)
 	if err != nil {
-		log.Fatalf("figure 16: %v", err)
+		return fmt.Errorf("figure 16: %v", err)
 	}
-	fmt.Fprintln(out, bench.FormatFigure16(f16))
+	fmt.Fprintln(w, bench.FormatFigure16(f16))
 
 	tg, err := bench.ExtensionTagging(ws)
 	if err != nil {
-		log.Fatalf("tagging extension: %v", err)
+		return fmt.Errorf("tagging extension: %v", err)
 	}
 	rx, err := bench.ExtensionRegex(ws)
 	if err != nil {
-		log.Fatalf("regex extension: %v", err)
+		return fmt.Errorf("regex extension: %v", err)
 	}
-	fmt.Fprintln(out, bench.FormatExtensions(tg, rx))
+	fmt.Fprintln(w, bench.FormatExtensions(tg, rx))
 
 	pv, err := bench.ExtensionParsing(opts)
 	if err != nil {
-		log.Fatalf("parsing extension: %v", err)
+		return fmt.Errorf("parsing extension: %v", err)
 	}
-	fmt.Fprintln(out, bench.FormatParsing(pv))
+	fmt.Fprintln(w, bench.FormatParsing(pv))
 
 	hf, err := bench.AblationHashFilterCount(opts)
 	if err != nil {
-		log.Fatalf("ablation: %v", err)
+		return fmt.Errorf("ablation: %v", err)
 	}
 	ih, err := bench.AblationIndexHashFunctions(opts)
 	if err != nil {
-		log.Fatalf("ablation: %v", err)
+		return fmt.Errorf("ablation: %v", err)
 	}
 	il, err := bench.AblationIndexLayout(opts)
 	if err != nil {
-		log.Fatalf("ablation: %v", err)
+		return fmt.Errorf("ablation: %v", err)
 	}
-	fmt.Fprintln(out, bench.FormatAblations(
+	fmt.Fprintln(w, bench.FormatAblations(
 		bench.AblationDatapathWidth(opts), hf, ih,
 		bench.AblationLZAHNewline(opts), il,
 		bench.AblationLZAHTableSize(opts),
 		bench.AblationPipelineCount(),
 		bench.AblationCuckooCapacity()))
-
-	log.Printf("experiment suite completed in %v", time.Since(start).Round(time.Millisecond))
+	return nil
 }

@@ -27,9 +27,6 @@ type BatchResult struct {
 // masks, so N queries cost ceil(totalSets/capacity) scans instead of N.
 func (e *Engine) SearchBatch(queries []Query) (BatchResult, error) {
 	var res BatchResult
-	if e.router.NumShards() > 1 {
-		return res, ErrSharded
-	}
 	if len(queries) == 0 {
 		return res, fmt.Errorf("mithrilog: empty batch")
 	}
@@ -47,11 +44,7 @@ func (e *Engine) SearchBatch(queries []Query) (BatchResult, error) {
 			owner = append(owner, qi)
 		}
 	}
-	tagger, err := e.router.Shard(0).NewTagger(sets)
-	if err != nil {
-		return res, err
-	}
-	tag, err := tagger.Run(true)
+	tag, err := e.router.Tag(sets, true)
 	if err != nil {
 		return res, err
 	}

@@ -6,15 +6,9 @@
 //	go run ./cmd/mithrilint -json ./...    # machine-readable findings
 //	go run ./cmd/mithrilint -strict-ignores ./...  # also flag stale ignores (CI)
 //	go run ./cmd/mithrilint -hotpaths ./...        # list hotpath-marked functions
-//	go run ./cmd/mithrilint -changed origin/main ./...  # PR mode: changed pkgs + dependents
-//	go run ./cmd/mithrilint -timing -budget 120s ./...  # per-analyzer wall clock, hard cap
+//	go run ./cmd/mithrilint -timing -budget 30s ./...   # per-analyzer wall clock, hard cap
 //	go run ./cmd/mithrilint -list
 //
-// -changed narrows *reporting* to the packages whose files differ from
-// the given git ref (plus their transitive reverse-dependents, since a
-// change can surface findings in importers). The whole module is still
-// loaded, so the program-wide fact layers (call graph, escape summaries)
-// see identical input and the selected findings match a full run's.
 // -budget makes the run fail with exit 2 if analysis exceeds the given
 // wall-clock duration — CI's guard against the suite outgrowing its
 // per-PR latency allowance; -timing prints where the time went.
@@ -35,8 +29,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -68,13 +60,11 @@ func main() {
 		"also report mithrilint:ignore directives that suppress no findings (CI uses this)")
 	hotpaths := flag.Bool("hotpaths", false,
 		"print the //mithrilint:hotpath-marked functions, one per line, and exit")
-	changed := flag.String("changed", "",
-		"report only packages with files changed since this git ref, plus their reverse-dependents")
 	timing := flag.Bool("timing", false, "print per-analyzer wall-clock timings to stderr")
 	budget := flag.Duration("budget", 0,
 		"fail (exit 2) if analysis wall clock exceeds this duration (0 = no limit)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: mithrilint [-list] [-only a,b] [-json] [-strict-ignores] [-hotpaths] [-changed ref] [-timing] [-budget d] [-C dir] [packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: mithrilint [-list] [-only a,b] [-json] [-strict-ignores] [-hotpaths] [-timing] [-budget d] [-C dir] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -114,27 +104,6 @@ func main() {
 			fmt.Println(fn)
 		}
 		return
-	}
-
-	if *changed != "" {
-		absDir, err := filepath.Abs(*dir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mithrilint: %v\n", err)
-			os.Exit(exitError)
-		}
-		files, err := changedGoFiles(absDir, *changed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mithrilint: -changed %s: %v\n", *changed, err)
-			os.Exit(exitError)
-		}
-		seeds := lint.PackagesForFiles(pkgs, absDir, files)
-		if len(seeds) == 0 {
-			fmt.Fprintf(os.Stderr, "mithrilint: no Go packages changed since %s\n", *changed)
-			return
-		}
-		pkgs = lint.Dependents(prog, pkgs, seeds)
-		fmt.Fprintf(os.Stderr, "mithrilint: %d changed package(s) since %s, %d selected with dependents\n",
-			len(seeds), *changed, len(pkgs))
 	}
 
 	start := time.Now()
@@ -177,31 +146,4 @@ func main() {
 			elapsed.Round(time.Millisecond), *budget)
 		os.Exit(exitError)
 	}
-}
-
-// changedGoFiles lists the module-relative .go paths that differ from
-// ref, plus untracked ones: the PR-mode selection seed. Deleted files
-// still appear in the diff; PackagesForFiles drops them when no loaded
-// package claims their directory anymore.
-func changedGoFiles(dir, ref string) ([]string, error) {
-	var files []string
-	for _, args := range [][]string{
-		{"diff", "--name-only", ref, "--"},
-		{"ls-files", "--others", "--exclude-standard"},
-	} {
-		cmd := exec.Command("git", append([]string{"-C", dir}, args...)...)
-		out, err := cmd.Output()
-		if err != nil {
-			if ee, ok := err.(*exec.ExitError); ok && len(ee.Stderr) > 0 {
-				return nil, fmt.Errorf("git %s: %s", args[0], strings.TrimSpace(string(ee.Stderr)))
-			}
-			return nil, fmt.Errorf("git %s: %v", args[0], err)
-		}
-		for _, line := range strings.Split(string(out), "\n") {
-			if line = strings.TrimSpace(line); strings.HasSuffix(line, ".go") {
-				files = append(files, line)
-			}
-		}
-	}
-	return files, nil
 }

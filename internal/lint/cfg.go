@@ -1,22 +1,21 @@
 package lint
 
-// This file is the control-flow-graph layer under the v2 analyzers
-// (unitcheck, goleak). It builds a statement-level CFG for one function
-// body from the AST alone — no types needed — decomposing structured
-// control flow (if/for/range/switch/select, labeled break/continue, goto,
-// fallthrough) into basic blocks connected by successor edges. Each block
-// carries the statements and condition expressions evaluated in it, in
-// evaluation order, so a forward dataflow (dataflow.go) can replay them.
+// This file is the control-flow-graph layer under unitcheck's dataflow
+// and poollife's release-path check. It builds a statement-level CFG for
+// one function body from the AST alone — no types needed — decomposing
+// structured control flow (if/for/range/switch/select, labeled
+// break/continue, goto, fallthrough) into basic blocks connected by
+// successor edges. Each block carries the statements and condition
+// expressions evaluated in it, in evaluation order, so a forward dataflow
+// (dataflow.go) can replay them.
 //
 // Terminators: return, panic(...), os.Exit, runtime.Goexit, and
-// log.Fatal* end a block with an edge to the synthetic exit block (for
-// leak analysis what matters is that the goroutine stops, not how
-// gracefully). A `for` without a condition gets no head→join edge — the
-// only way past it is break, return, or goto, which is exactly the
-// property the goleak analyzer checks by asking whether every reachable
-// block can still reach the exit. A `range` loop always gets an exit
-// edge: ranging over a channel terminates when the producer closes it,
-// which is a legitimate done signal.
+// log.Fatal* end a block with an edge to the synthetic exit block. A
+// `for` without a condition gets no head→join edge — the only way past
+// it is break, return, or goto. A `range` loop always gets an exit edge:
+// ranging over a channel terminates when the producer closes it.
+// TestCFGExitReachability pins these edges by asking which bodies have a
+// reachable block that cannot reach exit.
 //
 // defer is registration-time sequential (the DeferStmt sits in its block
 // like any statement) and the deferred calls are additionally collected on
@@ -44,53 +43,6 @@ type funcCFG struct {
 	// defers are the defer statements registered anywhere in the body;
 	// their calls execute at every path into exit.
 	defers []*ast.DeferStmt
-}
-
-// preds computes the predecessor lists (the builder only records
-// successors).
-func (g *funcCFG) preds() map[*cfgBlock][]*cfgBlock {
-	p := make(map[*cfgBlock][]*cfgBlock, len(g.blocks))
-	for _, b := range g.blocks {
-		for _, s := range b.succs {
-			p[s] = append(p[s], b)
-		}
-	}
-	return p
-}
-
-// reachable returns the set of blocks reachable from entry.
-func (g *funcCFG) reachable() map[*cfgBlock]bool {
-	seen := make(map[*cfgBlock]bool)
-	var walk func(*cfgBlock)
-	walk = func(b *cfgBlock) {
-		if seen[b] {
-			return
-		}
-		seen[b] = true
-		for _, s := range b.succs {
-			walk(s)
-		}
-	}
-	walk(g.entry)
-	return seen
-}
-
-// canReachExit returns the set of blocks from which exit is reachable.
-func (g *funcCFG) canReachExit() map[*cfgBlock]bool {
-	preds := g.preds()
-	seen := make(map[*cfgBlock]bool)
-	var walk func(*cfgBlock)
-	walk = func(b *cfgBlock) {
-		if seen[b] {
-			return
-		}
-		seen[b] = true
-		for _, p := range preds[b] {
-			walk(p)
-		}
-	}
-	walk(g.exit)
-	return seen
 }
 
 // cfgScope is one enclosing breakable/continuable construct.

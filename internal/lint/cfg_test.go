@@ -26,8 +26,8 @@ func parseFunc(t *testing.T, src string) *funcCFG {
 	return nil
 }
 
-// leaks reports whether some reachable block cannot reach the exit — the
-// property the goleak analyzer checks.
+// leaks reports whether some reachable block cannot reach the exit: a
+// body that can loop or block forever.
 func leaks(g *funcCFG) bool {
 	reach := g.reachable()
 	exits := g.canReachExit()
@@ -340,4 +340,51 @@ func TestUnitBinaryAlgebra(t *testing.T) {
 			t.Errorf("binaryResult(%v, %v, %v) = %v, want %v", tc.op, tc.a, tc.b, got, tc.want)
 		}
 	}
+}
+
+// preds computes the predecessor lists (the builder only records
+// successors).
+func (g *funcCFG) preds() map[*cfgBlock][]*cfgBlock {
+	p := make(map[*cfgBlock][]*cfgBlock, len(g.blocks))
+	for _, b := range g.blocks {
+		for _, s := range b.succs {
+			p[s] = append(p[s], b)
+		}
+	}
+	return p
+}
+
+// reachable returns the set of blocks reachable from entry.
+func (g *funcCFG) reachable() map[*cfgBlock]bool {
+	seen := make(map[*cfgBlock]bool)
+	var walk func(*cfgBlock)
+	walk = func(b *cfgBlock) {
+		if seen[b] {
+			return
+		}
+		seen[b] = true
+		for _, s := range b.succs {
+			walk(s)
+		}
+	}
+	walk(g.entry)
+	return seen
+}
+
+// canReachExit returns the set of blocks from which exit is reachable.
+func (g *funcCFG) canReachExit() map[*cfgBlock]bool {
+	preds := g.preds()
+	seen := make(map[*cfgBlock]bool)
+	var walk func(*cfgBlock)
+	walk = func(b *cfgBlock) {
+		if seen[b] {
+			return
+		}
+		seen[b] = true
+		for _, p := range preds[b] {
+			walk(p)
+		}
+	}
+	walk(g.exit)
+	return seen
 }

@@ -1,9 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-	"strings"
-)
+import "go/ast"
 
 // CtxFlowAnalyzer enforces the context boundary on the query and ingest
 // hot paths: the facade (package mithrilog, the cmd binaries, examples) is
@@ -38,23 +35,8 @@ var ctxHotSegments = map[string]bool{
 	"router":  true,
 }
 
-// isHotPathPackage reports whether an import path is below the facade on a
-// hot path: .../internal/<segment> for a hot segment.
-func isHotPathPackage(path string) bool {
-	i := strings.LastIndex(path, "internal/")
-	if i < 0 {
-		return false
-	}
-	rest := path[i+len("internal/"):]
-	seg := rest
-	if j := strings.IndexByte(rest, '/'); j >= 0 {
-		seg = rest[:j]
-	}
-	return ctxHotSegments[seg]
-}
-
 func runCtxFlow(pass *Pass) {
-	if !isHotPathPackage(pass.Pkg.Path) {
+	if !ctxHotSegments[internalSegment(pass.Pkg.Path)] {
 		return
 	}
 	info := pass.Pkg.Info

@@ -1,9 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-	"strings"
-)
+import "go/ast"
 
 // ErrDropAnalyzer forbids discarding errors from the data-integrity core:
 // the compression codecs (a failed decompress means a corrupt page), the
@@ -37,20 +34,6 @@ var errCriticalSegments = map[string]bool{
 	"core":    true,
 }
 
-// isErrCriticalPackage mirrors isHotPathPackage for the errdrop set.
-func isErrCriticalPackage(path string) bool {
-	i := strings.LastIndex(path, "internal/")
-	if i < 0 {
-		return false
-	}
-	rest := path[i+len("internal/"):]
-	seg := rest
-	if j := strings.IndexByte(rest, '/'); j >= 0 {
-		seg = rest[:j]
-	}
-	return errCriticalSegments[seg]
-}
-
 // mustCheckCall reports whether the call returns an error that this
 // analyzer insists on, i.e. the callee is declared in an error-critical
 // package and its last result is an error.
@@ -59,7 +42,7 @@ func mustCheckCall(pass *Pass, call *ast.CallExpr) bool {
 	if fn == nil || fn.Pkg() == nil {
 		return false
 	}
-	if !isErrCriticalPackage(fn.Pkg().Path()) {
+	if !errCriticalSegments[internalSegment(fn.Pkg().Path())] {
 		return false
 	}
 	return lastResultIsError(pass.Pkg.Info, call)

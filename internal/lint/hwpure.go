@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // HwPureAnalyzer enforces determinism where cycle counts are made: the
@@ -32,22 +31,9 @@ var hwPureEngineSegments = map[string]bool{
 	"lzah":      true,
 }
 
-func inHwPureEngine(path string) bool {
-	i := strings.LastIndex(path, "internal/")
-	if i < 0 {
-		return false
-	}
-	rest := path[i+len("internal/"):]
-	seg := rest
-	if j := strings.IndexByte(rest, '/'); j >= 0 {
-		seg = rest[:j]
-	}
-	return hwPureEngineSegments[seg]
-}
-
 func runHwPure(pass *Pass) {
 	allFuncs := pkgPathHasSuffix(pass.Pkg.Path, hwsimPath)
-	if !allFuncs && !inHwPureEngine(pass.Pkg.Path) {
+	if !allFuncs && !hwPureEngineSegments[internalSegment(pass.Pkg.Path)] {
 		return
 	}
 	info := pass.Pkg.Info

@@ -10,9 +10,7 @@
 //	metricname    obs metrics: one registration site, valid name, constant labels
 //	ctxflow       no context.Background()/TODO() below the facade on hot paths
 //	errdrop       codec/device/index/cuckoo errors are never discarded
-//	unitcheck     cycles/bytes/hertz/duration mix only via hwsim helpers
-//	paperconst    the paper's magic numbers have one definition, in hwsim
-//	goleak        goroutines in sched/core/server have a reachable exit
+//	unitcheck     units mix only via hwsim helpers; paper constants defined only in hwsim
 //	hwpure        hwsim and the cycle-accounting paths stay deterministic
 //	poollife      sync.Pool objects released on every path; no alias outlives release
 //	guardedby     `// guarded by <mu>` fields touched only with the mutex provably held
@@ -21,12 +19,12 @@
 //	persistver    persisted streams write one canonical magic/version and check it on decode
 //
 // Several are built on a statement-level control-flow graph (cfg.go) and
-// a forward-dataflow fixpoint solver (dataflow.go); the v3 analyzers
-// (poollife, guardedby, hotalloc) add a whole-module static call graph
+// a forward-dataflow fixpoint solver (dataflow.go); poollife, guardedby,
+// hotalloc and shardiso add a whole-module static call graph
 // (callgraph.go) with bottom-up per-function summaries — locks held at
-// entry, escaping parameters, same-package reachability; shardiso adds a
-// kinded alias/escape summary layer (escape.go) on top of that call
-// graph — all stdlib-only like the rest of the suite.
+// entry, escaping parameters (one summary, shared by poollife and
+// shardiso), same-package reachability — all stdlib-only like the rest
+// of the suite.
 //
 // See LINT.md at the repository root for the rationale behind each
 // invariant and the suppression syntax. The cmd/mithrilint driver runs the
@@ -40,8 +38,10 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
+	"sort"
 	"strings"
 	"sync"
+	"time"
 )
 
 // Analyzer is one named invariant check.
@@ -64,8 +64,6 @@ func Analyzers() []*Analyzer {
 		CtxFlowAnalyzer,
 		ErrDropAnalyzer,
 		UnitCheckAnalyzer,
-		PaperConstAnalyzer,
-		GoLeakAnalyzer,
 		HwPureAnalyzer,
 		PoolLifeAnalyzer,
 		GuardedByAnalyzer,
@@ -189,6 +187,46 @@ func Run(prog *Program, pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 func RunWithOptions(prog *Program, pkgs []*Package, analyzers []*Analyzer, opts RunOptions) []Diagnostic {
 	diags, _ := RunTimed(prog, pkgs, analyzers, opts)
 	return diags
+}
+
+// AnalyzerTiming is one analyzer's wall-clock share of a run. The first
+// analyzer to touch a memoized program-wide fact (the call graph, the
+// parameter-escape summary) pays its construction cost; later consumers
+// read the cache. The skew is stable because analyzers run in suite
+// order.
+type AnalyzerTiming struct {
+	Name    string
+	Elapsed time.Duration
+}
+
+// RunTimed is RunWithOptions, also returning per-analyzer wall-clock
+// timings in suite order.
+func RunTimed(prog *Program, pkgs []*Package, analyzers []*Analyzer, opts RunOptions) ([]Diagnostic, []AnalyzerTiming) {
+	var diags []Diagnostic
+	timings := make([]AnalyzerTiming, 0, len(analyzers))
+	for _, a := range analyzers {
+		start := time.Now()
+		for _, pkg := range pkgs {
+			if pkg.Standard {
+				continue
+			}
+			pass := &Pass{Analyzer: a, Fset: prog.Fset, Pkg: pkg, Prog: prog, diags: &diags}
+			a.Run(pass)
+		}
+		timings = append(timings, AnalyzerTiming{Name: a.Name, Elapsed: time.Since(start)})
+	}
+	diags = filterSuppressed(prog, pkgs, diags, analyzers, opts)
+	sort.Slice(diags, func(i, j int) bool {
+		a, b := diags[i], diags[j]
+		if a.Pos.Filename != b.Pos.Filename {
+			return a.Pos.Filename < b.Pos.Filename
+		}
+		if a.Pos.Line != b.Pos.Line {
+			return a.Pos.Line < b.Pos.Line
+		}
+		return a.Message < b.Message
+	})
+	return diags, timings
 }
 
 // IgnorePrefix is the suppression comment marker:
@@ -324,6 +362,22 @@ func filterSuppressed(prog *Program, pkgs []*Package, diags []Diagnostic, analyz
 // "internal/hwsim") in both the real module and test fixtures.
 func pkgPathHasSuffix(path, suffix string) bool {
 	return path == suffix || strings.HasSuffix(path, "/"+suffix)
+}
+
+// internalSegment returns the path element after the last "internal/"
+// of an import path ("core" for mithrilog/internal/core/x), or "" when
+// there is none. Analyzers that apply to a set of packages scope
+// themselves by it, in the real module and in fixtures alike.
+func internalSegment(path string) string {
+	i := strings.LastIndex(path, "internal/")
+	if i < 0 {
+		return ""
+	}
+	seg := path[i+len("internal/"):]
+	if j := strings.IndexByte(seg, '/'); j >= 0 {
+		seg = seg[:j]
+	}
+	return seg
 }
 
 // unparen strips any number of enclosing parentheses.

@@ -45,16 +45,10 @@ func TestErrDropFixture(t *testing.T) {
 	RunFixture(t, fixtures(t), ErrDropAnalyzer, "errdrop/a")
 }
 
+// TestUnitCheckFixture covers both halves of unitcheck: the unit-mix
+// dataflow (core.go) and paper-constant provenance (paperconst.go).
 func TestUnitCheckFixture(t *testing.T) {
 	RunFixture(t, fixtures(t), UnitCheckAnalyzer, "unitcheck/internal/core")
-}
-
-func TestPaperConstFixture(t *testing.T) {
-	RunFixture(t, fixtures(t), PaperConstAnalyzer, "paperconst/internal/filter")
-}
-
-func TestGoLeakFixture(t *testing.T) {
-	RunFixture(t, fixtures(t), GoLeakAnalyzer, "goleak/internal/sched")
 }
 
 func TestHwPureFixture(t *testing.T) {
@@ -171,8 +165,6 @@ func TestFixtureExclusivity(t *testing.T) {
 		{"ctxflow/internal/sched", "ctxflow"},
 		{"errdrop/a", "errdrop"},
 		{"unitcheck/internal/core", "unitcheck"},
-		{"paperconst/internal/filter", "paperconst"},
-		{"goleak/internal/sched", "goleak"},
 		{"hwpure/internal/hwsim", "hwpure"},
 		{"poollife/a", "poollife"},
 		{"guardedby/a", "guardedby"},

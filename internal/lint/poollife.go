@@ -35,10 +35,13 @@ import (
 //   - Calls the type-checker cannot resolve statically (function
 //     values, interface methods) are assumed non-escaping, as are
 //     callees outside the module.
-//   - Capturing an alias in a goroutine closure is not flagged: the
-//     fan-out paths in core join with WaitGroup.Wait before the
-//     deferred release runs, and modeling that join is out of scope.
-//     Stores and returns inside closures are still checked.
+//   - Capturing an alias in a goroutine is flagged only when nothing
+//     joins it: the fan-out paths in core call Done on a local
+//     WaitGroup the function Waits on before the deferred release runs
+//     (joinedGoStmts). Capturing an alias in a closure that is not
+//     started by `go` is not flagged: core's cuckooEval and tagPage
+//     closures run synchronously, before the release. Stores and
+//     returns inside closures are still checked.
 var PoolLifeAnalyzer = &Analyzer{
 	Name: "poollife",
 	Doc: "sync.Pool objects are released on every exit path and no alias " +
@@ -69,7 +72,7 @@ const (
 func buildPoolFacts(prog *Program) *poolFacts {
 	cg := moduleCallGraph(prog)
 	getW, putW := poolWrappers(cg)
-	pe := paramEscapeFixpoint(cg)
+	pe := moduleParamEscapes(prog)
 	facts := &poolFacts{}
 	for _, key := range cg.keys {
 		pkg := cg.declPkg[key]
@@ -320,13 +323,15 @@ type escapeSink struct {
 
 // scanEscapes finds every way an alias of the tracked set leaves the
 // body: returned, stored outside the object, sent on a channel,
-// appended into a foreign slice, or passed to a callee parameter the
-// summary marks escaping.
+// appended into a foreign slice, placed in a composite literal,
+// captured by a goroutine nothing joins, or passed to a callee
+// parameter the summary marks escaping.
 func scanEscapes(info *types.Info, body *ast.BlockStmt, set map[*types.Var]bool, pe map[string][]bool) []escapeSink {
 	var sinks []escapeSink
 	add := func(pos token.Pos, what string) {
 		sinks = append(sinks, escapeSink{pos: pos, what: what})
 	}
+	var joined map[*ast.GoStmt]bool // built on the first go statement
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.ReturnStmt:
@@ -360,12 +365,42 @@ func scanEscapes(info *types.Info, body *ast.BlockStmt, set map[*types.Var]bool,
 			if aliasRootedShallow(info, set, x.Value) {
 				add(x.Value.Pos(), "sent on a channel")
 			}
+		case *ast.CompositeLit:
+			for _, el := range x.Elts {
+				if kv, ok := el.(*ast.KeyValueExpr); ok {
+					el = kv.Value
+				}
+				if aliasRootedShallow(info, set, el) {
+					add(el.Pos(), "placed in a composite literal")
+				}
+			}
+		case *ast.GoStmt:
+			if joined == nil {
+				joined = joinedGoStmts(info, body)
+			}
+			if !joined[x] && mentionsAlias(info, x.Call, set) {
+				add(x.Pos(), "captured by a goroutine nothing joins")
+			}
 		case *ast.CallExpr:
 			scanCallEscapes(info, x, set, pe, add)
 		}
 		return true
 	})
 	return sinks
+}
+
+// mentionsAlias reports whether any identifier under n reads an alias.
+func mentionsAlias(info *types.Info, n ast.Node, set map[*types.Var]bool) bool {
+	found := false
+	ast.Inspect(n, func(m ast.Node) bool {
+		if id, ok := m.(*ast.Ident); ok {
+			if v := identVar(info, id); v != nil && set[v] {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
 }
 
 func scanCallEscapes(info *types.Info, call *ast.CallExpr, set map[*types.Var]bool, pe map[string][]bool, add func(token.Pos, string)) {
@@ -386,32 +421,46 @@ func scanCallEscapes(info *types.Info, call *ast.CallExpr, set map[*types.Var]bo
 	if fn == nil {
 		return
 	}
-	esc, ok := pe[funcKey(fn)]
-	if !ok || len(esc) == 0 {
-		return
-	}
 	for i, arg := range call.Args {
-		if !aliasRootedShallow(info, set, arg) {
-			continue
-		}
-		pi := i
-		if pi >= len(esc) {
-			pi = len(esc) - 1 // variadic tail
-		}
-		if esc[pi] {
+		if aliasRootedShallow(info, set, arg) && argEscapes(pe, funcKey(fn), i) {
 			add(arg.Pos(), fmt.Sprintf("passed to %s, whose parameter escapes", fn.Name()))
 		}
 	}
+}
+
+// argEscapes reports whether argument i of a call to the function keyed
+// key escapes per the summary. Arguments past the parameter list clamp
+// to the variadic tail; a function outside the module has no summary
+// and proves no escape.
+func argEscapes(pe map[string][]bool, key string, i int) bool {
+	esc := pe[key]
+	if len(esc) == 0 {
+		return false
+	}
+	if i >= len(esc) {
+		i = len(esc) - 1
+	}
+	return esc[i]
 }
 
 func isPkgLevel(v *types.Var) bool {
 	return v != nil && v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
 }
 
+// moduleParamEscapes returns the program's parameter-escape summary,
+// building it on first use: poollife and shardiso read the same one.
+func moduleParamEscapes(prog *Program) map[string][]bool {
+	return prog.Memo("paramescape", func() interface{} {
+		return paramEscapeFixpoint(moduleCallGraph(prog))
+	}).(map[string][]bool)
+}
+
 // paramEscapeFixpoint computes, for every declared function, which
-// parameters escape (are returned, stored beyond the parameter's own
-// object, sent, or passed on to an escaping parameter). Bottom-up to a
-// fixpoint so facts chase through helper chains.
+// parameters escape by any of scanEscapes' sinks. Bottom-up to a
+// fixpoint so facts chase through helper chains: if store(x) stores its
+// argument and keep(x) just calls store(x), keep's parameter escapes.
+// Receivers are not summarized — calling a method on a value is use,
+// not escape.
 func paramEscapeFixpoint(cg *callGraph) map[string][]bool {
 	pe := make(map[string][]bool, len(cg.keys))
 	params := make(map[string][]*types.Var, len(cg.keys))
@@ -663,4 +712,81 @@ func (pl *poolChecker) aliasUse(n ast.Node, set map[*types.Var]bool) *ast.Ident 
 		return true
 	})
 	return use
+}
+
+// joinedGoStmts finds go statements bounded by the scatter-gather shape:
+// the goroutine literal calls Done on a local sync.WaitGroup that the
+// surrounding function also Waits on.
+func joinedGoStmts(info *types.Info, body *ast.BlockStmt) map[*ast.GoStmt]bool {
+	// WaitGroups this body waits on.
+	waited := make(map[*types.Var]bool)
+	ast.Inspect(body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+		if !ok || sel.Sel.Name != "Wait" {
+			return true
+		}
+		if v := waitGroupVar(info, sel.X); v != nil {
+			waited[v] = true
+		}
+		return true
+	})
+	out := make(map[*ast.GoStmt]bool)
+	if len(waited) == 0 {
+		return out
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		g, ok := n.(*ast.GoStmt)
+		if !ok {
+			return true
+		}
+		lit, ok := unparen(g.Call.Fun).(*ast.FuncLit)
+		if !ok {
+			return true
+		}
+		ast.Inspect(lit.Body, func(m ast.Node) bool {
+			call, ok := m.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+			if !ok || sel.Sel.Name != "Done" {
+				return true
+			}
+			if v := waitGroupVar(info, sel.X); v != nil && waited[v] {
+				out[g] = true
+			}
+			return true
+		})
+		return true
+	})
+	return out
+}
+
+// waitGroupVar resolves e to a sync.WaitGroup-typed variable, or nil.
+func waitGroupVar(info *types.Info, e ast.Expr) *types.Var {
+	id, ok := unparen(e).(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	v := identVar(info, id)
+	if v == nil {
+		return nil
+	}
+	t := v.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return nil
+	}
+	obj := named.Obj()
+	if obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == "WaitGroup" {
+		return v
+	}
+	return nil
 }

@@ -18,9 +18,10 @@ package lint
 //     local sync.WaitGroup the same function Waits on (the
 //     scatter-gather join shape), and unbounded otherwise;
 //   - is passed to a module function whose parameter escapes, per the
-//     v4 escape summaries (escape.go). Unknown callees do not report:
-//     shardiso only flags escapes it can prove, so a missing call-graph
-//     edge weakens the proof rather than inventing a finding.
+//     parameter-escape summary poollife also reads
+//     (moduleParamEscapes). Unknown callees do not report: shardiso
+//     only flags escapes it can prove, so a missing call-graph edge
+//     weakens the proof rather than inventing a finding.
 //
 // Method calls on shard-owned values are use, not escape — that is what
 // the references are for. Stores into objects that are themselves
@@ -115,9 +116,9 @@ func buildShardIsoFacts(prog *Program) *siFacts {
 		return facts
 	}
 	cg := moduleCallGraph(prog)
-	ef := moduleEscapes(prog)
+	pe := moduleParamEscapes(prog)
 	for _, key := range cg.keys {
-		checkShardFunc(cg.declPkg[key], cg.decls[key], fields, ef, facts)
+		checkShardFunc(cg.declPkg[key], cg.decls[key], fields, pe, facts)
 	}
 	return facts
 }
@@ -129,20 +130,20 @@ type shardWalker struct {
 	fields map[*types.Var]string
 	taint  map[*types.Var]bool
 	cons   map[*types.Var]bool
-	ef     *escapeFacts
+	pe     map[string][]bool
 	// joined marks go statements proven bounded by the WaitGroup pattern.
 	joined map[*ast.GoStmt]bool
 	facts  *siFacts
 }
 
-func checkShardFunc(pkg *Package, fd *ast.FuncDecl, fields map[*types.Var]string, ef *escapeFacts, facts *siFacts) {
+func checkShardFunc(pkg *Package, fd *ast.FuncDecl, fields map[*types.Var]string, pe map[string][]bool, facts *siFacts) {
 	w := &shardWalker{
 		pkg:    pkg,
 		info:   pkg.Info,
 		fields: fields,
 		taint:  make(map[*types.Var]bool),
 		cons:   constructionLocals(pkg.Info, fd.Body, pkg.Types),
-		ef:     ef,
+		pe:     pe,
 		joined: joinedGoStmts(pkg.Info, fd.Body),
 		facts:  facts,
 	}
@@ -338,29 +339,18 @@ func (w *shardWalker) classifyStore(lhs ast.Expr, rhs ast.Expr) {
 	}
 }
 
-// classifyCall checks shard-rooted call arguments against the escape
-// summaries. The function position (method receiver chains) is use, not
-// escape.
+// classifyCall checks shard-rooted call arguments against the
+// parameter-escape summary. The function position (method receiver
+// chains) is use, not escape; builtins and unknown callees have no
+// summary and prove nothing.
 func (w *shardWalker) classifyCall(call *ast.CallExpr) {
-	if isBuiltin(w.info, call, "append") || isBuiltin(w.info, call, "len") ||
-		isBuiltin(w.info, call, "cap") || isBuiltin(w.info, call, "delete") ||
-		isBuiltin(w.info, call, "close") || isBuiltin(w.info, call, "copy") {
-		return
-	}
 	fn := calleeFunc(w.info, call)
 	if fn == nil {
 		return
 	}
-	key := funcKey(fn)
-	if _, inModule := w.ef.params[key]; !inModule {
-		return // unknown callee: cannot prove an escape
-	}
 	for i, arg := range call.Args {
-		if !w.rooted(arg) {
-			continue
-		}
-		if k := w.ef.argEscape(key, i); k != 0 {
-			w.report(arg.Pos(), "%s passed to %s, whose parameter escapes by %s", w.rootDisplay(arg), fn.Name(), k)
+		if w.rooted(arg) && argEscapes(w.pe, funcKey(fn), i) {
+			w.report(arg.Pos(), "%s passed to %s, whose parameter escapes", w.rootDisplay(arg), fn.Name())
 		}
 	}
 }
@@ -384,81 +374,4 @@ func (w *shardWalker) checkGoCapture(g *ast.GoStmt) {
 		}
 		return true
 	})
-}
-
-// joinedGoStmts finds go statements bounded by the scatter-gather shape:
-// the goroutine literal calls Done on a local sync.WaitGroup that the
-// surrounding function also Waits on.
-func joinedGoStmts(info *types.Info, body *ast.BlockStmt) map[*ast.GoStmt]bool {
-	// WaitGroups this body waits on.
-	waited := make(map[*types.Var]bool)
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "Wait" {
-			return true
-		}
-		if v := waitGroupVar(info, sel.X); v != nil {
-			waited[v] = true
-		}
-		return true
-	})
-	out := make(map[*ast.GoStmt]bool)
-	if len(waited) == 0 {
-		return out
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		g, ok := n.(*ast.GoStmt)
-		if !ok {
-			return true
-		}
-		lit, ok := unparen(g.Call.Fun).(*ast.FuncLit)
-		if !ok {
-			return true
-		}
-		ast.Inspect(lit.Body, func(m ast.Node) bool {
-			call, ok := m.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
-			if !ok || sel.Sel.Name != "Done" {
-				return true
-			}
-			if v := waitGroupVar(info, sel.X); v != nil && waited[v] {
-				out[g] = true
-			}
-			return true
-		})
-		return true
-	})
-	return out
-}
-
-// waitGroupVar resolves e to a sync.WaitGroup-typed variable, or nil.
-func waitGroupVar(info *types.Info, e ast.Expr) *types.Var {
-	id, ok := unparen(e).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	v := identVar(info, id)
-	if v == nil {
-		return nil
-	}
-	t := v.Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return nil
-	}
-	obj := named.Obj()
-	if obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == "WaitGroup" {
-		return v
-	}
-	return nil
 }

@@ -1,11 +1,11 @@
-// Package a pins the v4 escape-summary layer (escape.go): each function
-// exhibits exactly one way a parameter can leave the frame, plus the
-// composite cases escape_test.go asserts on. The package has no `want`
-// expectations — it is exercised through the summary API, not through an
-// analyzer.
 package a
 
 import "strconv"
+
+// The functions below pin the parameter-escape summary poollife and
+// shardiso share (TestEscapeKinds): each exhibits one way a parameter
+// can leave the frame, or one way it stays put. None touches a pool, so
+// they add no poollife findings.
 
 type box struct {
 	p *int
@@ -27,7 +27,7 @@ func fieldStore(b *box, p *int) { b.p = p }
 // insert appends its parameter into a package-level slice.
 func insert(p *int) { registry = append(registry, p) }
 
-// spawn hands its parameter to a goroutine.
+// spawn hands its parameter to a goroutine nothing joins.
 func spawn(p *int) {
 	go func() { _ = p }()
 }
@@ -38,15 +38,15 @@ func mystery(p *int) string {
 	return strconv.Itoa(*p)
 }
 
-// chain forwards to store: kinds chase through helper chains bottom-up.
+// chain forwards to store: escapes chase through helper chains bottom-up.
 func chain(p *int) { store(p) }
 
 // reads uses its parameter without retaining it.
 func reads(p *int) int { return *p + 1 }
 
-// closure captures its parameter in a returned function literal: the
-// capture is a store, and the literal's inner return also counts as a
-// return of the alias (a documented over-approximation).
+// closure returns a function literal that returns its parameter: the
+// literal's inner return counts as a return of the alias (a documented
+// over-approximation).
 func closure(p *int) func() *int {
 	return func() *int { return p }
 }

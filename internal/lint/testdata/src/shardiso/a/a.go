@@ -90,7 +90,7 @@ func (r *router) Scatter() int {
 	return sum
 }
 
-// keep retains its parameter: the escape summary marks it store.
+// keep retains its parameter: the escape summary marks it escaping.
 func keep(e *engine) {
 	sink = e
 }
@@ -102,7 +102,7 @@ func inspect(e *engine) bool {
 
 // Delegate hands the engine to a helper that provably stores it.
 func (r *router) Delegate(i int) {
-	keep(r.shards[i].eng) // want `shard-owned a.shard.eng passed to keep, whose parameter escapes by store`
+	keep(r.shards[i].eng) // want `shard-owned a.shard.eng passed to keep, whose parameter escapes`
 }
 
 // Peek hands the engine to a helper that provably does not: clean.

@@ -1,6 +1,7 @@
-// Package core is a unitcheck fixture: cycle counts, byte counts, clock
-// rates, and durations mixed directly (flagged) versus converted through
-// the hwsim helpers (clean).
+// Package core is the unitcheck fixture. core.go mixes cycle counts,
+// byte counts, clock rates, and durations directly (flagged) versus
+// converting through the hwsim helpers (clean); paperconst.go re-types
+// paper constants as literals.
 package core
 
 import (

@@ -1,6 +1,7 @@
-// Package filter is a paperconst fixture: paper magic numbers re-typed as
-// literals (flagged) versus unrelated numerology (clean).
-package filter
+package core
+
+// Paper-constant provenance: paper magic numbers re-typed as literals
+// (flagged) versus unrelated numerology (clean).
 
 // Class 2: package-level constants whose names claim a paper concept but
 // are initialized from a fresh literal instead of the hwsim symbol.

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
 	"strings"
@@ -19,11 +20,17 @@ import (
 // bypasses the one datapath model and is exactly how a reproduction
 // silently drifts. The conversions live in hwsim: CyclesToDuration,
 // DurationForBytes, BytesPerSecond, and the SystemConfig derivations.
+//
+// The same packages may not re-type the paper's constants either (see
+// checkPaperConsts): the 200 MHz clock, the datapath and tokenizer
+// widths, the pipeline count, the index-tree geometry and the link
+// bandwidths are defined once, in hwsim, so the model has one
+// definition of each number as well as of each conversion.
 var UnitCheckAnalyzer = &Analyzer{
 	Name: "unitcheck",
 	Doc: "values tagged cycles/bytes/hertz/duration/rate may only mix " +
-		"through internal/hwsim's conversion helpers; inline unit " +
-		"arithmetic forks the datapath model",
+		"through internal/hwsim's conversion helpers, and the paper's " +
+		"constants are referenced from hwsim, never re-typed as literals",
 	Run: runUnitCheck,
 }
 
@@ -60,8 +67,10 @@ func (t unitTag) String() string {
 	return "dimensionless"
 }
 
-// unitScopeSegments are the internal packages whose arithmetic is
-// checked: the ones whose numbers end up in reported figures.
+// unitScopeSegments are the internal packages that are checked: the
+// engine and hot-path packages whose numbers end up in reported figures
+// and whose geometry must match the model. hwsim, the authority, is not
+// among them.
 var unitScopeSegments = map[string]bool{
 	"core":      true,
 	"sched":     true,
@@ -71,22 +80,7 @@ var unitScopeSegments = map[string]bool{
 	"filter":    true,
 	"lzah":      true,
 	"index":     true,
-}
-
-func inUnitScope(path string) bool {
-	if pkgPathHasSuffix(path, hwsimPath) {
-		return false // hwsim is the conversion authority
-	}
-	i := strings.LastIndex(path, "internal/")
-	if i < 0 {
-		return false
-	}
-	rest := path[i+len("internal/"):]
-	seg := rest
-	if j := strings.IndexByte(rest, '/'); j >= 0 {
-		seg = rest[:j]
-	}
-	return unitScopeSegments[seg]
+	"cuckoo":    true,
 }
 
 // unitEnv is the dataflow fact: the inferred unit of each local variable.
@@ -107,9 +101,10 @@ type unitChecker struct {
 }
 
 func runUnitCheck(pass *Pass) {
-	if !inUnitScope(pass.Pkg.Path) {
+	if !unitScopeSegments[internalSegment(pass.Pkg.Path)] {
 		return
 	}
+	checkPaperConsts(pass)
 	u := &unitChecker{pass: pass, info: pass.Pkg.Info, reported: make(map[token.Pos]bool)}
 	for _, file := range pass.Pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -389,10 +384,6 @@ func (u *unitChecker) evalCall(call *ast.CallExpr, env unitEnv, report bool) uni
 				return unitBytes
 			}
 		}
-		if fn.Pkg() != nil && fn.Pkg().Path() == "time" {
-			// time.Now().Sub etc. resolve by result type below; Seconds
-			// and friends are methods handled here too.
-		}
 		switch name {
 		case "seconds", "minutes", "hours", "milliseconds", "microseconds", "nanoseconds":
 			if isDurationMethod(fn) {
@@ -561,4 +552,122 @@ func mixHelper(op token.Token, a, b unitTag) string {
 		return "a SystemConfig derivation (hwsim.ThroughputFromCycles or PipelineWireSpeed)"
 	}
 	return "an internal/hwsim conversion helper"
+}
+
+// ---------------------------------------------------------------------------
+// Paper-constant provenance.
+
+// paperConst is one canonical constant.
+type paperConst struct {
+	value float64
+	sym   string // canonical symbol, for the diagnostic
+	cite  string // paper section
+}
+
+// distinctivePaperConsts are values unique enough to flag anywhere.
+var distinctivePaperConsts = []paperConst{
+	{200e6, "hwsim.ClockHz", "§7.2"},
+	{4.8e9, "hwsim.InternalBandwidth", "§7.2"},
+	{3.1e9, "hwsim.ExternalBandwidth", "§7.2"},
+	{7e9, "hwsim.ComparisonStorageBandwidth", "Table 3"},
+}
+
+// ambiguousPaperConsts map a name fragment (lower-cased substring of the
+// declared constant name) plus value to the canonical symbol.
+var ambiguousPaperConsts = []struct {
+	nameFrag string
+	paperConst
+}{
+	{"wordsize", paperConst{16, "hwsim.DatapathBytes", "§4.1"}},
+	{"datapath", paperConst{16, "hwsim.DatapathBytes", "§4.1"}},
+	{"leafentries", paperConst{16, "hwsim.IndexLeafEntries", "§6.1"}},
+	{"rootentries", paperConst{16, "hwsim.IndexRootEntries", "§6.1"}},
+	{"percycle", paperConst{2, "hwsim.TokenizerBytesPerCycle", "§4.1"}},
+	{"tokenizers", paperConst{8, "hwsim.TokenizersPerPipeline", "§4.1"}},
+	{"pipelines", paperConst{4, "hwsim.DefaultPipelines", "§7.2"}},
+}
+
+// litFloat extracts the numeric value of a basic literal, if any.
+func litFloat(pass *Pass, lit *ast.BasicLit) (float64, bool) {
+	if lit.Kind != token.INT && lit.Kind != token.FLOAT {
+		return 0, false
+	}
+	tv, ok := pass.Pkg.Info.Types[lit]
+	if !ok || tv.Value == nil {
+		return 0, false
+	}
+	f, _ := constant.Float64Val(constant.ToFloat(tv.Value))
+	return f, true
+}
+
+// checkPaperConsts enforces paper-constant provenance. A re-declared
+// literal is a fork: when one copy is tuned (an ablation, a bugfix) the
+// others silently keep deriving Fig. 13/14 numbers from the old model.
+// Two flag classes:
+//
+//   - distinctive values (200e6, 4.8e9, 3.1e9, 7e9) are flagged wherever
+//     a literal spells them — there is no innocent reason to write the
+//     prototype's clock inline;
+//   - ambiguous values (16, 2, 8, 4) are flagged only when a package-level
+//     constant whose NAME claims the paper concept (WordSize,
+//     LeafEntries, BytesPerCycle, Pipelines, ...) is initialized from a
+//     bare literal instead of the hwsim symbol.
+func checkPaperConsts(pass *Pass) {
+	for _, file := range pass.Pkg.Files {
+		// Class 1: distinctive literals anywhere in the file.
+		ast.Inspect(file, func(n ast.Node) bool {
+			lit, ok := n.(*ast.BasicLit)
+			if !ok {
+				return true
+			}
+			v, ok := litFloat(pass, lit)
+			if !ok {
+				return true
+			}
+			for _, pc := range distinctivePaperConsts {
+				if v == pc.value {
+					pass.Reportf(lit.Pos(),
+						"paper constant %s written as a literal; reference %s (%s) so the model has one definition",
+						lit.Value, pc.sym, pc.cite)
+				}
+			}
+			return true
+		})
+		// Class 2: package-level constants whose name claims a paper
+		// concept but whose definition is a fresh literal.
+		for _, decl := range file.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.CONST {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				vs, ok := spec.(*ast.ValueSpec)
+				if !ok {
+					continue
+				}
+				for i, name := range vs.Names {
+					if i >= len(vs.Values) {
+						continue
+					}
+					lit, ok := unparen(vs.Values[i]).(*ast.BasicLit)
+					if !ok {
+						continue
+					}
+					v, ok := litFloat(pass, lit)
+					if !ok {
+						continue
+					}
+					lower := strings.ToLower(name.Name)
+					for _, pc := range ambiguousPaperConsts {
+						if v == pc.value && strings.Contains(lower, pc.nameFrag) {
+							pass.Reportf(name.Pos(),
+								"%s redefines paper constant %v; reference %s (%s) instead of a literal",
+								name.Name, lit.Value, pc.sym, pc.cite)
+							break
+						}
+					}
+				}
+			}
+		}
+	}
 }

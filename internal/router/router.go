@@ -51,6 +51,11 @@ import (
 // ErrClosed reports an operation on a closed router.
 var ErrClosed = errors.New("router: closed")
 
+// ErrSharded reports a template-tagging pass asked of a router with more
+// than one shard: its per-line answer is in ingest order, which no fleet
+// merge reconstructs.
+var ErrSharded = errors.New("mithrilog: operation needs a single engine and is not supported with Config.Shards > 1")
+
 // ErrTenantQuota mirrors sched.ErrTenantQuota for callers that only
 // import the router.
 var ErrTenantQuota = sched.ErrTenantQuota
@@ -364,6 +369,24 @@ func (r *Router) Export(w io.Writer) (uint64, error) {
 		}
 	}
 	return n, nil
+}
+
+// Tag runs one template-tagging pass over a one-shard router's engine.
+// It is gated like every other operation: Close waits for it, and after
+// Close it fails with ErrClosed. A wider router refuses with ErrSharded.
+func (r *Router) Tag(templates []query.Query, collect bool) (core.TagResult, error) {
+	if err := r.begin(); err != nil {
+		return core.TagResult{}, err
+	}
+	defer r.active.Done()
+	if len(r.shards) > 1 {
+		return core.TagResult{}, ErrSharded
+	}
+	t, err := r.shards[0].eng.NewTagger(templates)
+	if err != nil {
+		return core.TagResult{}, err
+	}
+	return t.Run(collect)
 }
 
 // ShardError is one shard's failure within an otherwise-served query.

@@ -174,8 +174,8 @@ func fromRouter(r *router.Router, err error) (*Engine, error) {
 
 // Close waits for in-flight operations to drain and flushes every shard,
 // at every width. After it, ingest, Flush, Snapshot, every search,
-// WriteSegments and Export fail with ErrClosed; the single-engine passes
-// SearchBatch and Tag do not check. Close is idempotent.
+// SearchBatch, Tag, WriteSegments and Export fail with ErrClosed. Close
+// is idempotent.
 func (e *Engine) Close() error {
 	return e.router.Close()
 }

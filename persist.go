@@ -1,7 +1,6 @@
 package mithrilog
 
 import (
-	"errors"
 	"io"
 
 	"mithrilog/internal/router"
@@ -10,8 +9,9 @@ import (
 // ErrSharded reports a whole-store pass — SearchBatch, Tag, and the
 // analytics built on them — called on a sharded engine. Those passes need
 // the single-engine layout; every other operation, persistence included,
-// works at every width.
-var ErrSharded = errors.New("mithrilog: operation needs a single engine and is not supported with Config.Shards > 1")
+// works at every width. On a closed engine they fail with ErrClosed
+// first, like every other operation.
+var ErrSharded = router.ErrSharded
 
 // WriteSegments writes the engine's sealed-segment stream, the one
 // persistence format: buffered lines are flushed, the active segment is

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -24,7 +25,9 @@ import (
 // errors.Is sentinel (or none), the same match count, the same line
 // multiset. A width-1 engine must also return unlimited lines in ingest
 // order, and every width must return limited lines as the canonical
-// prefix.
+// prefix. SearchBatch and Tag need one engine: at width 4 they answer
+// ErrSharded (the allow-list), except after Close, where every width
+// answers ErrClosed.
 
 type seqKind int
 
@@ -37,9 +40,14 @@ const (
 	seqReopen // WriteSegments → Reopen; the reopened engine runs the rest
 	seqExport
 	seqClose
+	seqBatch // SearchBatch over batch
+	seqTag   // Tag with seqTemplates
 )
 
-var seqKindNames = [...]string{"ingest", "flush", "snapshot", "search", "regex", "reopen", "export", "close"}
+var seqKindNames = [...]string{"ingest", "flush", "snapshot", "search", "regex", "reopen", "export", "close", "batch", "tag"}
+
+// seqTemplates is the library the tag steps classify against.
+var seqTemplates = ExtractTemplates(append(seqLines("svc", 200, 0), seqLines("acme", 60, 3)...), TemplateParams{})
 
 type seqStep struct {
 	kind   seqKind
@@ -49,6 +57,8 @@ type seqStep struct {
 	search SearchOptions // seqSearch (Tenant comes from tenant)
 	regex  RegexOptions  // seqRegex
 	ts     time.Time     // seqSnapshot; zero means seqT0
+	batch  []string      // seqBatch: token queries
+	tags   bool          // seqTag: collect per-line template IDs
 }
 
 // The program's two snapshot times, and the From and To of its ranged
@@ -85,6 +95,10 @@ func (s seqStep) String() string {
 		out += " at " + s.at().Format(time.TimeOnly)
 	case seqRegex:
 		out += fmt.Sprintf(" %q collect=%v limit=%d noprefilter=%v", s.expr, s.regex.CollectLines, s.regex.Limit, s.regex.NoPrefilter)
+	case seqBatch:
+		out += fmt.Sprintf(" %q", s.batch)
+	case seqTag:
+		out += fmt.Sprintf(" collect=%v", s.tags)
 	}
 	if s.tenant != "" {
 		out += " tenant=" + s.tenant
@@ -138,8 +152,76 @@ func (m *seqModel) apply(s seqStep) seqOut {
 		return seqOut{lines: append([]string(nil), m.lines...), collect: true}
 	case seqClose:
 		m.closed = true
+	case seqBatch:
+		if len(m.lines) == 0 {
+			return seqOut{err: core.ErrNothingIngested}
+		}
+		counts := make([]int, len(s.batch))
+		for i, expr := range s.batch {
+			q := MustParseQuery(expr)
+			for _, l := range m.lines {
+				if q.Match(l) {
+					counts[i]++
+				}
+			}
+		}
+		return seqBatchOut(s.batch, counts)
+	case seqTag:
+		if len(m.lines) == 0 {
+			return seqOut{err: core.ErrNothingIngested}
+		}
+		qs := seqTemplates.Queries()
+		res := TagResult{Counts: make(map[int]uint64), Lines: uint64(len(m.lines))}
+		for _, l := range m.lines {
+			var ids []int
+			for id, q := range qs {
+				if q.Match(l) {
+					ids = append(ids, id)
+					res.Counts[id]++
+				}
+			}
+			switch {
+			case len(ids) == 0:
+				res.Untagged++
+			case len(ids) > 1:
+				res.MultiTagged++
+			}
+			if s.tags {
+				res.Tags = append(res.Tags, ids)
+			}
+		}
+		return seqTagOut(res)
 	}
 	return seqOut{}
+}
+
+// seqBatchOut renders per-query batch counts as lines, in query order.
+func seqBatchOut(exprs []string, counts []int) seqOut {
+	out := seqOut{collect: true}
+	for i, n := range counts {
+		out.matches += n
+		out.lines = append(out.lines, fmt.Sprintf("%s=%d", exprs[i], n))
+	}
+	return out
+}
+
+// seqTagOut renders a tagging result as lines: the totals, each nonzero
+// template count in ID order, then each line's sorted template IDs when
+// they were collected. Its match count is the tagged lines.
+func seqTagOut(res TagResult) seqOut {
+	out := seqOut{matches: int(res.Lines - res.Untagged), collect: true}
+	out.lines = append(out.lines, fmt.Sprintf("lines=%d untagged=%d multi=%d", res.Lines, res.Untagged, res.MultiTagged))
+	for id := 0; id < seqTemplates.Len(); id++ {
+		if n := res.Counts[id]; n > 0 {
+			out.lines = append(out.lines, fmt.Sprintf("t%d=%d", id, n))
+		}
+	}
+	for _, ids := range res.Tags {
+		ids = append([]int(nil), ids...)
+		sort.Ints(ids)
+		out.lines = append(out.lines, fmt.Sprint(ids))
+	}
+	return out
 }
 
 // answer is a query's model result over lines, the accepted lines in its
@@ -216,6 +298,22 @@ func seqRun(t *testing.T, cfg Config, e **Engine, s seqStep) seqOut {
 		return seqOut{err: err, lines: lines, collect: true}
 	case seqClose:
 		return seqOut{err: eng.Close()}
+	case seqBatch:
+		qs := make([]Query, len(s.batch))
+		for i, expr := range s.batch {
+			qs[i] = MustParseQuery(expr)
+		}
+		res, err := eng.SearchBatch(qs)
+		if err != nil {
+			return seqOut{err: err}
+		}
+		return seqBatchOut(s.batch, res.Matches)
+	case seqTag:
+		res, err := eng.Tag(seqTemplates, s.tags)
+		if err != nil {
+			return seqOut{err: err}
+		}
+		return seqTagOut(res)
 	}
 	panic("unknown step")
 }
@@ -302,13 +400,19 @@ func seqProgram() []seqStep {
 
 	var p []seqStep
 	step := func(s ...seqStep) { p = append(p, s...) }
+	// The whole-store passes: a batch of every token query, then tagging
+	// without and with per-line IDs.
+	whole := []seqStep{{kind: seqBatch, batch: exprs}, {kind: seqTag}, {kind: seqTag, tags: true}}
 	step(seqQueries("", []string{"failed"}, []string{`failed code=[0-9]`})...)
+	step(whole...)
 	step(seqStep{kind: seqIngest, lines: seqLines("svc", 200, 0)})
+	step(whole...)
 	step(seqQueries("", exprs, patterns)...)
 	step(seqStep{kind: seqIngest, tenant: "acme", lines: seqLines("acme", 60, 3)},
 		seqStep{kind: seqIngest, tenant: "globex", lines: seqLines("globex", 50, 5)},
 		seqStep{kind: seqFlush},
 		seqStep{kind: seqSnapshot})
+	step(whole...)
 	step(seqQueries("", exprs, patterns)...)
 	step(seqQueries("acme", []string{"acme AND failed", "acme AND (done OR retry)"}, []string{`^acme node1[0-9] `})...)
 	step(seqQueries("globex", []string{"globex"}, []string{`^globex .*code=2`})...)
@@ -319,6 +423,7 @@ func seqProgram() []seqStep {
 		seqStep{kind: seqExport})
 	step(seqQueries("", exprs, nil)...)
 	step(seqStep{kind: seqReopen})
+	step(whole...)
 	step(seqQueries("", exprs, patterns)...)
 	step(seqQueries("acme", []string{"acme AND failed"}, nil)...)
 	step(seqStep{kind: seqIngest, tenant: "acme", lines: seqLines("acme", 40, 17)})
@@ -339,6 +444,7 @@ func seqProgram() []seqStep {
 		seqStep{kind: seqRegex, expr: `failed`},
 		seqStep{kind: seqExport},
 		seqStep{kind: seqReopen})
+	step(whole...)
 	return p
 }
 
@@ -367,7 +473,11 @@ func TestFacadeSequenceWidths(t *testing.T) {
 			width1 := c.cfg.Shards <= 1
 			got := seqRun(t, c.cfg, &engines[ci], s)
 			at := fmt.Sprintf("step %d (%s) on %s", si, s, c.name)
-			if g, w := seqErrKind(got.err), seqErrKind(want.err); g != w {
+			w := seqErrKind(want.err)
+			if !width1 && (s.kind == seqBatch || s.kind == seqTag) && !m.closed {
+				w = "ErrSharded" // the allow-list: these passes need one engine
+			}
+			if g := seqErrKind(got.err); g != w {
 				t.Errorf("%s: %s, model %s", at, g, w)
 				continue
 			}

@@ -33,9 +33,6 @@ type TagResult struct {
 // in the prototype) take multiple passes over the data. Set collect to
 // materialize per-line template IDs in the result.
 func (e *Engine) Tag(lib *TemplateLibrary, collect bool) (TagResult, error) {
-	if e.router.NumShards() > 1 {
-		return TagResult{}, ErrSharded
-	}
 	qs := make([]query.Query, 0, lib.lib.Len())
 	for i := 0; i < lib.lib.Len(); i++ {
 		q, err := lib.lib.Query(i)
@@ -44,11 +41,7 @@ func (e *Engine) Tag(lib *TemplateLibrary, collect bool) (TagResult, error) {
 		}
 		qs = append(qs, q)
 	}
-	tagger, err := e.router.Shard(0).NewTagger(qs)
-	if err != nil {
-		return TagResult{}, err
-	}
-	res, err := tagger.Run(collect)
+	res, err := e.router.Tag(qs, collect)
 	if err != nil {
 		return TagResult{}, err
 	}

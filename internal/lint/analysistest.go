@@ -25,8 +25,14 @@ func RunFixture(t *testing.T, loader *Loader, a *Analyzer, pkgPath string) {
 		t.Fatalf("loading fixture %s: %v", pkgPath, err)
 	}
 	diags := Run(prog, []*Package{pkg}, []*Analyzer{a})
+	checkWants(t, pkgPath, diags, fixtureWants(t, loader, pkg))
+}
 
-	wants := fixtureWants(t, loader, pkg)
+// checkWants matches diagnostics against expectations one to one: every
+// diagnostic must be claimed by a want on its line and every want must
+// match a diagnostic.
+func checkWants(t *testing.T, pkgPath string, diags []Diagnostic, wants []want) {
+	t.Helper()
 	matched := make([]bool, len(wants))
 
 	for _, d := range diags {

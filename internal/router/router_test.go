@@ -77,22 +77,64 @@ func TestTenantPlacement(t *testing.T) {
 	}
 }
 
+// TestUntenantedStriping pins run placement: untenanted line i of the
+// router's lifetime lands on shard (i/R) mod n with R = 64, so after
+// k·R·n lines every shard holds k·R, and a run carries on across batches
+// of any size instead of restarting at each batch.
 func TestUntenantedStriping(t *testing.T) {
-	r := newTestRouter(t, 4)
-	if err := r.Ingest("", tenantLines("anon", 400)); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < r.NumShards(); i++ {
-		if n := r.Shard(i).Lines(); n != 100 {
-			t.Fatalf("shard %d carries %d lines, want 100 (round-robin stripe)", i, n)
+	const n, stripeRun = 4, 64
+	t.Run("balance", func(t *testing.T) {
+		for _, k := range []int{1, 3} {
+			r := newTestRouter(t, n)
+			if err := r.Ingest("", tenantLines("anon", k*stripeRun*n)); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				if got := r.Shard(i).Lines(); got != uint64(k*stripeRun) {
+					t.Fatalf("k=%d: shard %d carries %d lines, want %d", k, i, got, k*stripeRun)
+				}
+			}
+			if st := r.Stats(); st.Lines != uint64(k*stripeRun*n) {
+				t.Fatalf("k=%d: fleet lines = %d, want %d", k, st.Lines, k*stripeRun*n)
+			}
 		}
-	}
-	if st := r.Stats(); st.Lines != 400 {
-		t.Fatalf("fleet lines = %d, want 400", st.Lines)
-	}
+	})
+	t.Run("batches", func(t *testing.T) {
+		r := newTestRouter(t, n)
+		want := make([]uint64, n)
+		total := 0
+		for bi, size := range []int{1, 63, 65, 4096} {
+			if err := r.Ingest("", tenantLines("anon", size)); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			for i := total; i < total+size; i++ {
+				want[(i/stripeRun)%n]++
+			}
+			total += size
+			lo, hi := r.Shard(0).Lines(), r.Shard(0).Lines()
+			for i := 0; i < n; i++ {
+				got := r.Shard(i).Lines()
+				if got != want[i] {
+					t.Fatalf("after batch %d (%d lines): shard %d carries %d lines, want %d", bi, size, i, got, want[i])
+				}
+				lo, hi = min(lo, got), max(hi, got)
+			}
+			if hi-lo > stripeRun {
+				t.Fatalf("after batch %d: shard counts span %d..%d, more than one run apart", bi, lo, hi)
+			}
+			// Batches of 1 and 63 lines make one run on shard 0: the run
+			// continues across the batch boundary.
+			if bi == 1 && (r.Shard(0).Lines() != stripeRun || r.Shard(1).Lines() != 0) {
+				t.Fatalf("batches of 1 and 63 lines did not make one run on shard 0")
+			}
+		}
+	})
 }
 
 func TestScatterGatherMergesAllShards(t *testing.T) {
@@ -221,12 +263,17 @@ func TestPartialFailureSemantics(t *testing.T) {
 		fail    []int // shards whose device breaks
 		wantErr error
 		want    view
+		// survivors sets want's matches and lines to lines minus the
+		// failed shards' lines.
+		survivors bool
 	}{
 		{name: "all ok", lines: 400,
 			want: view{Gather{ShardsQueried: 4}, 400, 400, true}},
+		// The failed shard's share depends on placement, so its lines are
+		// read before the device breaks: the answer is the other shards'.
 		{name: "some failed", lines: 400,
-			fail: []int{2},
-			want: view{Gather{ShardsQueried: 4, Partial: true}, 300, 300, true}},
+			fail: []int{2}, survivors: true,
+			want: view{Gather{ShardsQueried: 4, Partial: true}, 0, 0, true}},
 		{name: "all empty", lines: 0,
 			wantErr: core.ErrNothingIngested},
 		{name: "all failed", lines: 400,
@@ -252,6 +299,17 @@ func TestPartialFailureSemantics(t *testing.T) {
 					}
 				}
 				failed := row.fail
+				want := row.want
+				if row.survivors {
+					n := row.lines
+					for _, si := range failed {
+						n -= int(r.Shard(si).Lines())
+					}
+					if n <= 0 || n >= row.lines {
+						t.Fatalf("surviving lines = %d, want strictly between 0 and %d", n, row.lines)
+					}
+					want.matches, want.lines = n, n
+				}
 				for _, si := range failed {
 					r.Shard(si).Device().FailNextReads(1000, broken)
 				}
@@ -274,8 +332,8 @@ func TestPartialFailureSemantics(t *testing.T) {
 					}
 				}
 				got.Failed = nil
-				if !reflect.DeepEqual(got, row.want) {
-					t.Fatalf("got %+v, want %+v", got, row.want)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("got %+v, want %+v", got, want)
 				}
 			})
 		}

@@ -37,6 +37,14 @@ const (
 	DefaultRootEntries = hwsim.IndexRootEntries
 )
 
+// Node buffer growth schedule: a bucket's leaf buffer starts at leafStart
+// entries and its root buffer, made at the bucket's first leaf flush, at
+// rootStart; each jumps once to its full node size when it fills.
+const (
+	leafStart = 4
+	rootStart = 2
+)
+
 // nilPage marks an absent page reference.
 const nilPage = ^storage.PageID(0)
 
@@ -115,10 +123,10 @@ type Index struct {
 
 	stats Stats
 
-	// resident is the byte count MemoryFootprint reports. It grows only
-	// where a buffer is allocated (New, reserveBuffers, pageBuf), and no
-	// buffer is ever released or regrown, so it equals a walk over every
-	// bucket without making one.
+	// resident is the byte count MemoryFootprint reports. It changes only
+	// where a buffer is allocated or grown (New, reserveBuffers, pageBuf),
+	// by the capacity added, and no buffer is ever released, so it equals
+	// a walk over every bucket without making one.
 	resident int
 
 	// AddPage scratch: each token's bucket pair, and the sum of the counts
@@ -260,7 +268,7 @@ func (ix *Index) AddPage(toks [][]byte, page storage.PageID) error {
 func (ix *Index) push(bi int, page storage.PageID) error {
 	b := &ix.buckets[bi]
 	b.count++
-	ix.reserveBuffers(b)
+	b.leafBuf = reserveBuffers(ix, b.leafBuf, leafStart, ix.params.LeafEntries, 4)
 	b.leafBuf = append(b.leafBuf, page)
 	if len(b.leafBuf) >= ix.params.LeafEntries {
 		if err := ix.flushLeaf(b); err != nil {
@@ -270,16 +278,27 @@ func (ix *Index) push(bi int, page storage.PageID) error {
 	return nil
 }
 
-// reserveBuffers gives a bucket its full leaf and root node buffers on
-// first use, and counts them resident. Reserving them whole models the
-// real ingest memory cost of a partially filled node (§6.1). push is its
-// only caller, so there is one accounting path.
-func (ix *Index) reserveBuffers(b *bucket) {
-	if cap(b.leafBuf) == 0 {
-		b.leafBuf = make([]storage.PageID, 0, ix.params.LeafEntries)
-		b.rootBuf = make([]nodeRef, 0, ix.params.RootEntries)
-		ix.resident += ix.params.LeafEntries*4 + ix.params.RootEntries*8
+// reserveBuffers returns a node buffer with room for one more entry of
+// entryBytes resident bytes, growing it on demand: a bucket with no
+// buffer gets one of start entries, and a full one is replaced by one of
+// full entries (the node size). The capacity added is counted resident.
+// push (leaf buffers) and flushLeaf (root buffers) call it before every
+// append, so there is one growth and accounting path. §6.1 reserves every
+// bucket's whole leaf and root buffers up front; growing them keeps the
+// node geometry and on-device bytes while a bucket that holds a few pages
+// costs a few entries (DESIGN.md).
+func reserveBuffers[T storage.PageID | nodeRef](ix *Index, buf []T, start, full, entryBytes int) []T {
+	if len(buf) == cap(buf) {
+		n := full
+		if cap(buf) == 0 {
+			n = min(start, full)
+		}
+		grown := make([]T, len(buf), n)
+		copy(grown, buf)
+		ix.resident += (n - cap(buf)) * entryBytes
+		return grown
 	}
+	return buf
 }
 
 // flushLeaf writes the bucket's leaf buffer as a leaf node and registers
@@ -293,6 +312,7 @@ func (ix *Index) flushLeaf(b *bucket) error {
 		return err
 	}
 	b.leafBuf = b.leafBuf[:0]
+	b.rootBuf = reserveBuffers(ix, b.rootBuf, rootStart, ix.params.RootEntries, 8)
 	b.rootBuf = append(b.rootBuf, ref)
 	if len(b.rootBuf) >= ix.params.RootEntries {
 		return ix.flushRoot(b)
@@ -462,41 +482,60 @@ func (ix *Index) Lookup(token string) (LookupResult, error) {
 		return LookupResult{}, ErrTokenEmpty
 	}
 	a, b := ix.hash(token)
-	var res LookupResult
-	seenIdx := make(map[storage.PageID]bool)
-	seenLeaf := make(map[storage.PageID]bool)
-	var pages []storage.PageID
+	w := lookupWalk{ix: ix, buf: make([]byte, storage.PageSize)}
 	for _, bi := range dedupe2(a, b) {
 		bk := &ix.buckets[bi]
 		// In-memory buffers first (newest data).
-		pages = append(pages, bk.leafBuf...)
+		w.pages = append(w.pages, bk.leafBuf...)
 		for _, lr := range bk.rootBuf {
-			lp, err := ix.readLeafNode(lr, seenLeaf, &res)
-			if err != nil {
-				return res, err
+			if err := w.readLeafNode(lr); err != nil {
+				return w.res, err
 			}
-			pages = append(pages, lp...)
 		}
 		// Then the storage linked list.
 		for ref := bk.head; !ref.isNil(); {
-			leaves, next, err := ix.readRootNode(ref, seenIdx, &res)
+			next, err := w.readRootNode(ref)
 			if err != nil {
-				return res, err
+				return w.res, err
 			}
-			res.RootHops++
-			for _, lr := range leaves {
-				lp, err := ix.readLeafNode(lr, seenLeaf, &res)
-				if err != nil {
-					return res, err
+			w.res.RootHops++
+			for _, lr := range w.leaves {
+				if err := w.readLeafNode(lr); err != nil {
+					return w.res, err
 				}
-				pages = append(pages, lp...)
 			}
 			ref = next
 		}
 	}
+	pages := w.pages
 	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
-	res.Pages = dedupeSorted(pages)
-	return res, nil
+	w.res.Pages = dedupeSorted(pages)
+	return w.res, nil
+}
+
+// lookupWalk is one Lookup's traversal state: the page buffer every node
+// read reuses, the last root node's leaf references, the pages gathered so
+// far, and the distinct index and leaf pages touched (few per lookup, so a
+// linear scan beats a map). It lives on Lookup's stack and never on the
+// Index, because lookups run concurrently under the engine's read lock.
+type lookupWalk struct {
+	ix                *Index
+	buf               []byte
+	leaves            []nodeRef
+	pages             []storage.PageID
+	seenIdx, seenLeaf []storage.PageID
+	res               LookupResult
+}
+
+// firstVisit records page in seen and reports whether it was new there.
+func firstVisit(seen *[]storage.PageID, page storage.PageID) bool {
+	for _, p := range *seen {
+		if p == page {
+			return false
+		}
+	}
+	*seen = append(*seen, page)
+	return true
 }
 
 func dedupe2(a, b int) []int {
@@ -534,26 +573,28 @@ func (ix *Index) readPage(id storage.PageID, buf []byte) error {
 	return ix.dev.Read(storage.External, id, buf)
 }
 
-func (ix *Index) readRootNode(ref nodeRef, seenPages map[storage.PageID]bool, res *LookupResult) (leaves []nodeRef, next nodeRef, err error) {
-	buf := make([]byte, storage.PageSize)
-	if err := ix.readPage(ref.page, buf); err != nil {
-		return nil, nilRef, err
+// readRootNode reads the root node at ref into w.leaves and returns the
+// reference of the next (older) root node.
+func (w *lookupWalk) readRootNode(ref nodeRef) (next nodeRef, err error) {
+	ix := w.ix
+	if err := ix.readPage(ref.page, w.buf); err != nil {
+		return nilRef, err
 	}
-	if !seenPages[ref.page] {
-		seenPages[ref.page] = true
-		res.IndexPagesRead++
+	if firstVisit(&w.seenIdx, ref.page) {
+		w.res.IndexPagesRead++
 	}
 	off := int(ref.slot) * ix.rootNodeSize
-	if off+ix.rootNodeSize > len(buf) {
-		return nil, nilRef, fmt.Errorf("index: root slot %d out of page", ref.slot)
+	if off+ix.rootNodeSize > len(w.buf) {
+		return nilRef, fmt.Errorf("index: root slot %d out of page", ref.slot)
 	}
-	node := buf[off : off+ix.rootNodeSize]
+	node := w.buf[off : off+ix.rootNodeSize]
 	n := int(binary.LittleEndian.Uint16(node))
 	if n > ix.params.RootEntries {
-		return nil, nilRef, fmt.Errorf("index: corrupt root node (count %d)", n)
+		return nilRef, fmt.Errorf("index: corrupt root node (count %d)", n)
 	}
+	w.leaves = w.leaves[:0]
 	for i := 0; i < n; i++ {
-		leaves = append(leaves, nodeRef{
+		w.leaves = append(w.leaves, nodeRef{
 			page: storage.PageID(binary.LittleEndian.Uint32(node[2+6*i:])),
 			slot: binary.LittleEndian.Uint16(node[2+6*i+4:]),
 		})
@@ -563,33 +604,33 @@ func (ix *Index) readRootNode(ref nodeRef, seenPages map[storage.PageID]bool, re
 		page: storage.PageID(binary.LittleEndian.Uint32(node[tail:])),
 		slot: binary.LittleEndian.Uint16(node[tail+4:]),
 	}
-	return leaves, next, nil
+	return next, nil
 }
 
-func (ix *Index) readLeafNode(ref nodeRef, seenPages map[storage.PageID]bool, res *LookupResult) ([]storage.PageID, error) {
-	buf := make([]byte, storage.PageSize)
-	if err := ix.readPage(ref.page, buf); err != nil {
-		return nil, err
+// readLeafNode reads the leaf node at ref and appends its data page
+// addresses to w.pages.
+func (w *lookupWalk) readLeafNode(ref nodeRef) error {
+	ix := w.ix
+	if err := ix.readPage(ref.page, w.buf); err != nil {
+		return err
 	}
-	if !seenPages[ref.page] {
-		seenPages[ref.page] = true
-		res.LeafPagesRead++
+	if firstVisit(&w.seenLeaf, ref.page) {
+		w.res.LeafPagesRead++
 	}
-	res.LeafReads++
+	w.res.LeafReads++
 	off := int(ref.slot) * ix.leafNodeSize
-	if off+ix.leafNodeSize > len(buf) {
-		return nil, fmt.Errorf("index: leaf slot %d out of page", ref.slot)
+	if off+ix.leafNodeSize > len(w.buf) {
+		return fmt.Errorf("index: leaf slot %d out of page", ref.slot)
 	}
-	node := buf[off : off+ix.leafNodeSize]
+	node := w.buf[off : off+ix.leafNodeSize]
 	n := int(binary.LittleEndian.Uint16(node))
 	if n > ix.params.LeafEntries {
-		return nil, fmt.Errorf("index: corrupt leaf node (count %d)", n)
+		return fmt.Errorf("index: corrupt leaf node (count %d)", n)
 	}
-	out := make([]storage.PageID, n)
 	for i := 0; i < n; i++ {
-		out[i] = storage.PageID(binary.LittleEndian.Uint32(node[2+4*i:]))
+		w.pages = append(w.pages, storage.PageID(binary.LittleEndian.Uint32(node[2+4*i:])))
 	}
-	return out, nil
+	return nil
 }
 
 // SimulatedLookupTime estimates the traversal time of a lookup on the

@@ -2,10 +2,16 @@
 // with its own simulated SSD, accelerator complex, scheduler, and page
 // cache — behind a scatter-gather query router with COPR-style tenant
 // partitioning. Tenant-tagged ingest is placed on the tenant's home
-// shard (a hash of the tenant name); untenanted ingest is striped
-// round-robin across all shards. Queries for a tenant go to its home
-// shard alone; untenanted queries scatter to every shard and gather
-// merged results.
+// shard (a hash of the tenant name); untenanted ingest is striped across
+// all shards in runs of stripeRun consecutive lines, so each shard's pages
+// keep the neighbour repetition LZAH compresses. Queries for a tenant go
+// to its home shard alone; untenanted queries scatter to every shard and
+// gather merged results.
+//
+// Each shard of an n-shard fleet holds about 1/n of the data, so its
+// inverted index gets 1/n of the default bucket table (an explicit
+// Engine.Index.Buckets applies to every shard as given): the fleet's
+// index costs one engine's, and each shard's load factor is one engine's.
 //
 // One shard is the single engine: it shares the router's metrics
 // registry (an unlabeled exposition), has no tenant quota and no shard
@@ -42,6 +48,7 @@ import (
 	"time"
 
 	"mithrilog/internal/core"
+	"mithrilog/internal/index"
 	"mithrilog/internal/obs"
 	"mithrilog/internal/query"
 	"mithrilog/internal/sched"
@@ -55,6 +62,13 @@ var ErrClosed = errors.New("router: closed")
 // than one shard: its per-line answer is in ingest order, which no fleet
 // merge reconstructs.
 var ErrSharded = errors.New("mithrilog: operation needs a single engine and is not supported with Config.Shards > 1")
+
+// stripeRun is the number of consecutive untenanted lines placed on one
+// shard before the stripe moves on. Striping single lines gave every
+// shard every n-th line and nearly doubled compressed bytes on Liberty2
+// (0.580 against 0.304 of raw at width 1); runs of 64 lines compress to
+// 0.310, within 2 % of one engine, and longer runs gain almost nothing.
+const stripeRun = 64
 
 // ErrTenantQuota mirrors sched.ErrTenantQuota for callers that only
 // import the router.
@@ -105,7 +119,9 @@ type Router struct {
 	shards  []*shard             // shard-owned
 	limiter *sched.TenantLimiter // nil at one shard
 
-	// rr stripes untenanted ingest lines across shards.
+	// rr counts untenanted lines ingested so far: line i of the router's
+	// lifetime goes to shard (i/stripeRun) mod n, so a run carries on
+	// across batches.
 	rr atomic.Uint64
 
 	// mu guards closed; active tracks in-flight operations so Close can
@@ -150,6 +166,9 @@ func build(cfg Config, nShards int, mk func(core.Config) (*core.Engine, error)) 
 	}
 	if nShards == 1 {
 		cfg.ShardTimeout = 0
+	}
+	if cfg.Engine.Index.Buckets <= 0 {
+		cfg.Engine.Index.Buckets = max(index.DefaultBuckets/nShards, 1)
 	}
 	r := &Router{
 		cfg: cfg,
@@ -291,9 +310,10 @@ func (r *Router) Close() error {
 }
 
 // Ingest places lines on shards. Tenant-tagged lines all land on the
-// tenant's home shard; untenanted lines are striped round-robin so every
-// shard carries an even share. Line bytes are stored untouched — tenancy
-// decides placement, never content.
+// tenant's home shard; untenanted lines are striped in runs of stripeRun
+// lines, so every shard carries an even share (shards differ by at most
+// one run). Line bytes are stored untouched — tenancy decides placement,
+// never content.
 func (r *Router) Ingest(tenant string, lines [][]byte) error {
 	if err := r.begin(); err != nil {
 		return err
@@ -311,7 +331,7 @@ func (r *Router) Ingest(tenant string, lines [][]byte) error {
 	base := r.rr.Add(uint64(len(lines))) - uint64(len(lines))
 	buckets := make([][][]byte, n)
 	for i, line := range lines {
-		s := int((base + uint64(i)) % uint64(n))
+		s := int((base + uint64(i)) / stripeRun % uint64(n))
 		buckets[s] = append(buckets[s], line)
 	}
 	for s, b := range buckets {

@@ -16,14 +16,16 @@
 // each holding up to LeafEntries data page addresses. One latency-bound
 // root visit therefore yields RootEntries×LeafEntries (256) data page
 // addresses fetched in parallel, which saturates the device while keeping
-// the per-bucket ingest buffer at LeafEntries addresses (§6.1).
+// the per-bucket ingest buffer at most LeafEntries addresses (§6.1). The
+// buffers grow on demand, so an untouched bucket costs only its table
+// entry.
 package index
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"mithrilog/internal/hwsim"
@@ -482,45 +484,46 @@ func (ix *Index) Lookup(token string) (LookupResult, error) {
 		return LookupResult{}, ErrTokenEmpty
 	}
 	a, b := ix.hash(token)
-	w := lookupWalk{ix: ix, buf: make([]byte, storage.PageSize)}
+	// One page buffer serves every node read. It is kept out of w, which
+	// escapes through its appends, so that it can live on the stack.
+	buf := make([]byte, storage.PageSize)
+	w := lookupWalk{ix: ix}
 	for _, bi := range dedupe2(a, b) {
 		bk := &ix.buckets[bi]
 		// In-memory buffers first (newest data).
 		w.pages = append(w.pages, bk.leafBuf...)
 		for _, lr := range bk.rootBuf {
-			if err := w.readLeafNode(lr); err != nil {
+			if err := w.readLeafNode(lr, buf); err != nil {
 				return w.res, err
 			}
 		}
 		// Then the storage linked list.
 		for ref := bk.head; !ref.isNil(); {
-			next, err := w.readRootNode(ref)
+			next, err := w.readRootNode(ref, buf)
 			if err != nil {
 				return w.res, err
 			}
 			w.res.RootHops++
 			for _, lr := range w.leaves {
-				if err := w.readLeafNode(lr); err != nil {
+				if err := w.readLeafNode(lr, buf); err != nil {
 					return w.res, err
 				}
 			}
 			ref = next
 		}
 	}
-	pages := w.pages
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
-	w.res.Pages = dedupeSorted(pages)
+	slices.Sort(w.pages)
+	w.res.Pages = dedupeSorted(w.pages)
 	return w.res, nil
 }
 
-// lookupWalk is one Lookup's traversal state: the page buffer every node
-// read reuses, the last root node's leaf references, the pages gathered so
-// far, and the distinct index and leaf pages touched (few per lookup, so a
-// linear scan beats a map). It lives on Lookup's stack and never on the
-// Index, because lookups run concurrently under the engine's read lock.
+// lookupWalk is one Lookup's traversal state: the last root node's leaf
+// references, the pages gathered so far, and the distinct index and leaf
+// pages touched (few per lookup, so a linear scan beats a map). It is
+// local to one Lookup and never on the Index, because lookups run
+// concurrently under the engine's read lock.
 type lookupWalk struct {
 	ix                *Index
-	buf               []byte
 	leaves            []nodeRef
 	pages             []storage.PageID
 	seenIdx, seenLeaf []storage.PageID
@@ -573,21 +576,21 @@ func (ix *Index) readPage(id storage.PageID, buf []byte) error {
 	return ix.dev.Read(storage.External, id, buf)
 }
 
-// readRootNode reads the root node at ref into w.leaves and returns the
-// reference of the next (older) root node.
-func (w *lookupWalk) readRootNode(ref nodeRef) (next nodeRef, err error) {
+// readRootNode reads the root node at ref, through buf, into w.leaves and
+// returns the reference of the next (older) root node.
+func (w *lookupWalk) readRootNode(ref nodeRef, buf []byte) (next nodeRef, err error) {
 	ix := w.ix
-	if err := ix.readPage(ref.page, w.buf); err != nil {
+	if err := ix.readPage(ref.page, buf); err != nil {
 		return nilRef, err
 	}
 	if firstVisit(&w.seenIdx, ref.page) {
 		w.res.IndexPagesRead++
 	}
 	off := int(ref.slot) * ix.rootNodeSize
-	if off+ix.rootNodeSize > len(w.buf) {
+	if off+ix.rootNodeSize > len(buf) {
 		return nilRef, fmt.Errorf("index: root slot %d out of page", ref.slot)
 	}
-	node := w.buf[off : off+ix.rootNodeSize]
+	node := buf[off : off+ix.rootNodeSize]
 	n := int(binary.LittleEndian.Uint16(node))
 	if n > ix.params.RootEntries {
 		return nilRef, fmt.Errorf("index: corrupt root node (count %d)", n)
@@ -607,11 +610,11 @@ func (w *lookupWalk) readRootNode(ref nodeRef) (next nodeRef, err error) {
 	return next, nil
 }
 
-// readLeafNode reads the leaf node at ref and appends its data page
-// addresses to w.pages.
-func (w *lookupWalk) readLeafNode(ref nodeRef) error {
+// readLeafNode reads the leaf node at ref, through buf, and appends its
+// data page addresses to w.pages.
+func (w *lookupWalk) readLeafNode(ref nodeRef, buf []byte) error {
 	ix := w.ix
-	if err := ix.readPage(ref.page, w.buf); err != nil {
+	if err := ix.readPage(ref.page, buf); err != nil {
 		return err
 	}
 	if firstVisit(&w.seenLeaf, ref.page) {
@@ -619,10 +622,10 @@ func (w *lookupWalk) readLeafNode(ref nodeRef) error {
 	}
 	w.res.LeafReads++
 	off := int(ref.slot) * ix.leafNodeSize
-	if off+ix.leafNodeSize > len(w.buf) {
+	if off+ix.leafNodeSize > len(buf) {
 		return fmt.Errorf("index: leaf slot %d out of page", ref.slot)
 	}
-	node := w.buf[off : off+ix.leafNodeSize]
+	node := buf[off : off+ix.leafNodeSize]
 	n := int(binary.LittleEndian.Uint16(node))
 	if n > ix.params.LeafEntries {
 		return fmt.Errorf("index: corrupt leaf node (count %d)", n)

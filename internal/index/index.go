@@ -125,10 +125,10 @@ type Index struct {
 
 	stats Stats
 
-	// resident is the byte count MemoryFootprint reports. It changes only
+	// resident is the byte count MemoryFootprint reports. It grows only
 	// where a buffer is allocated or grown (New, reserveBuffers, pageBuf),
-	// by the capacity added, and no buffer is ever released, so it equals
-	// a walk over every bucket without making one.
+	// by the capacity added, so it equals a walk over every bucket's
+	// buffer capacities without making one.
 	resident int
 
 	// AddPage scratch: each token's bucket pair, and the sum of the counts
@@ -281,14 +281,13 @@ func (ix *Index) push(bi int, page storage.PageID) error {
 }
 
 // reserveBuffers returns a node buffer with room for one more entry of
-// entryBytes resident bytes, growing it on demand: a bucket with no
-// buffer gets one of start entries, and a full one is replaced by one of
-// full entries (the node size). The capacity added is counted resident.
-// push (leaf buffers) and flushLeaf (root buffers) call it before every
-// append, so there is one growth and accounting path. §6.1 reserves every
-// bucket's whole leaf and root buffers up front; growing them keeps the
-// node geometry and on-device bytes while a bucket that holds a few pages
-// costs a few entries (DESIGN.md).
+// entryBytes resident bytes: a bucket with no buffer gets one of start
+// entries, and a full one is replaced by one of full entries (the node
+// size). The capacity added is counted resident. push (leaf buffers) and
+// flushLeaf (root buffers) call it before every append, so there is one
+// growth and accounting path. Growing on demand, unlike §6.1's up-front
+// reservation, lets a bucket that holds a few pages cost a few entries;
+// nodes are still written only when full or at Flush (DESIGN.md).
 func reserveBuffers[T storage.PageID | nodeRef](ix *Index, buf []T, start, full, entryBytes int) []T {
 	if len(buf) == cap(buf) {
 		n := full

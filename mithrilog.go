@@ -69,7 +69,8 @@ type Config struct {
 	// IntersectionSets overrides the flag pairs per entry, bounding the
 	// number of intersection sets per offloaded query (default 8).
 	IntersectionSets int
-	// IndexBuckets overrides the inverted index bucket count (default 65536).
+	// IndexBuckets overrides the inverted index bucket count, per shard
+	// (default 65536/Shards: each shard holds 1/Shards of the data).
 	IndexBuckets int
 	// InternalBandwidth / ExternalBandwidth override the simulated device
 	// links, in bytes per second (defaults 4.8e9 / 3.1e9).
@@ -98,7 +99,8 @@ type Config struct {
 	// simulated SSD, accelerator complex, scheduler, and page cache —
 	// behind the scatter-gather router; 0 or 1 means one engine.
 	// Tenant-tagged ingest (IngestTenant) lands on the tenant's home
-	// shard; untenanted ingest is striped round-robin. Queries for a
+	// shard; untenanted ingest is striped in runs of 64 lines. Each shard
+	// gets its own index of IndexBuckets buckets. Queries for a
 	// tenant go to one shard; untenanted queries scatter to all shards
 	// and, on two or more, merge in canonical order.
 	Shards int

@@ -25,11 +25,14 @@ import (
 //     modify it afterwards. Put after a failed read or decompress must not
 //     happen — the cache only ever holds successfully decoded pages, so a
 //     device fault surfaces to exactly the query that issued the read.
-//   - InvalidateAll empties the cache. The engine calls it on every flush
-//     boundary: data pages are append-only, so cached pages cannot go
-//     stale through ingest alone, but flush is the point where callers may
-//     observe (and tests may mutate) storage, and a conservative drop
-//     keeps every downstream read coherent with the device.
+//   - InvalidateAll empties the cache. The engine calls it on every
+//     explicit flush boundary (Flush, TakeSnapshot and the persistence
+//     calls that flush): data pages are append-only, so cached pages
+//     cannot go stale through ingest alone, but an explicit flush is the
+//     point where callers may observe (and tests may mutate) storage, and
+//     a conservative drop keeps every downstream read coherent with the
+//     device. The seal a query runs over pending lines only appends pages,
+//     so it keeps the cache.
 //
 // All methods must be safe for concurrent use. internal/sched provides the
 // byte-bounded LRU implementation; a nil PageCache disables caching.

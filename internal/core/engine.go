@@ -343,10 +343,8 @@ func (e *Engine) Flush() error {
 }
 
 func (e *Engine) flushLocked() error {
-	for len(e.pending) > 0 {
-		if err := e.flushPending(); err != nil {
-			return err
-		}
+	if err := e.sealLocked(); err != nil {
+		return err
 	}
 	if err := e.ix.Flush(); err != nil {
 		return err
@@ -360,6 +358,27 @@ func (e *Engine) flushLocked() error {
 	}
 	e.met.flushes.Inc()
 	e.met.indexMemoryBytes.Set(float64(e.ix.MemoryFootprint()))
+	return nil
+}
+
+// seal is the query-time seal: it makes buffered lines visible to a query
+// by writing them into data pages, the last possibly underfull, and
+// indexing them. It is not a Flush: the index keeps its bucket buffers in
+// memory, where Lookup reads them first, and the page cache keeps its
+// pages, since data pages are append-only and keyed by ID, so a new page
+// cannot make a cached one stale.
+func (e *Engine) seal() error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.sealLocked()
+}
+
+func (e *Engine) sealLocked() error {
+	for len(e.pending) > 0 {
+		if err := e.flushPending(); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 

@@ -125,7 +125,7 @@ func (e *Engine) SearchRegexOpts(pattern string, opts RegexOptions) (RegexResult
 	e.mu.RLock()
 	if len(e.pending) > 0 {
 		e.mu.RUnlock()
-		if err := e.Flush(); err != nil {
+		if err := e.seal(); err != nil {
 			return res, err
 		}
 		e.mu.RLock()

@@ -131,15 +131,15 @@ func (e *Engine) Search(q query.Query, opts SearchOptions) (SearchResult, error)
 		return res, err
 	}
 	// Queries share the device: they run concurrently under a read lock,
-	// each with its own pipeline set from the pool. Only a pending-line
-	// flush needs the write lock, so take it up front when required.
+	// each with its own pipeline set from the pool. Only sealing pending
+	// lines needs the write lock, so take it up front when required.
 	e.mu.RLock()
 	if len(e.pending) > 0 {
 		e.mu.RUnlock()
 		// Make buffered lines visible: real systems answer queries over
-		// data that has reached storage; we flush for determinism.
+		// data that has reached storage; we seal it for determinism.
 		flushSpan := sp.StartChild("flush")
-		err := e.Flush()
+		err := e.seal()
 		flushSpan.End()
 		if err != nil {
 			return res, err

@@ -102,10 +102,8 @@ func (t *Tagger) Run(collectTags bool) (TagResult, error) {
 	if len(e.dataPages) == 0 && len(e.pending) == 0 {
 		return res, ErrNothingIngested
 	}
-	if len(e.pending) > 0 {
-		if err := e.flushLocked(); err != nil {
-			return res, err
-		}
+	if err := e.sealLocked(); err != nil {
+		return res, err
 	}
 	// matchedPerLine[i] counts templates matched by line i (line numbers
 	// are stable across passes: pages are visited in order).

@@ -100,13 +100,13 @@ func (s *tokenSet) reset() {
 // add inserts the token text[off:end] and reports whether it was new to
 // the page.
 func (s *tokenSet) add(text []byte, off, end int) bool {
-	h := uint32(spanHash(text, off, end))
+	h := uint32(filter.SpanHash(text, off, end))
 	key, n := s.gen|uint64(h), uint32(end-off)
 	slots, mask := s.slots, uint32(len(s.slots)-1)
 	for i := h & mask; ; i = (i + 1) & mask {
 		sl := &slots[i]
 		if sl.key == key {
-			if sl.size == n && spanEqual(text, int(sl.off), off, int(n)) {
+			if sl.size == n && filter.SpanEqual(text, int(sl.off), off, int(n)) {
 				return false
 			}
 		} else if sl.key < s.gen { // a slot of an earlier page: free
@@ -136,48 +136,4 @@ func (s *tokenSet) grow() {
 			s.slots[i] = sl
 		}
 	}
-}
-
-// spanEqual reports whether text[a:a+n] and text[b:b+n] hold the same
-// bytes, for a < b: eight bytes per compare, the tail as one masked
-// compare when the text runs on past the later span.
-func spanEqual(text []byte, a, b, n int) bool {
-	for ; n >= 8; a, b, n = a+8, b+8, n-8 {
-		if binary.LittleEndian.Uint64(text[a:]) != binary.LittleEndian.Uint64(text[b:]) {
-			return false
-		}
-	}
-	if n == 0 {
-		return true
-	}
-	if b+8 <= len(text) {
-		x := binary.LittleEndian.Uint64(text[a:]) ^ binary.LittleEndian.Uint64(text[b:])
-		return x&(1<<(8*uint(n))-1) == 0
-	}
-	return string(text[a:a+n]) == string(text[b:b+n])
-}
-
-// spanHash hashes text[off:end] eight bytes per multiply. The tail is one
-// masked load when the text runs on past it, bytes otherwise. Only the
-// per-page set uses it, and the set verifies every hit, so it need match
-// no other hash; the index keeps its own (FNV-1a), computed only for the
-// tokens the set admits.
-func spanHash(text []byte, off, end int) uint64 {
-	h := uint64(end-off) * 0x9e3779b97f4a7c15
-	for ; off+8 <= end; off += 8 {
-		h = (h ^ binary.LittleEndian.Uint64(text[off:])) * 0xbf58476d1ce4e5b9
-		h ^= h >> 31
-	}
-	if r := end - off; r > 0 {
-		var w uint64
-		if off+8 <= len(text) {
-			w = binary.LittleEndian.Uint64(text[off:]) & (1<<(8*uint(r)) - 1)
-		} else {
-			for i := end - 1; i >= off; i-- {
-				w = w<<8 | uint64(text[i])
-			}
-		}
-		h = (h ^ w) * 0xbf58476d1ce4e5b9
-	}
-	return h ^ h>>32 // the product's well-mixed high half into the low
 }

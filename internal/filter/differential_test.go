@@ -127,7 +127,8 @@ func checkSpanVsWord(t testing.TB, block []byte, q query.Query) {
 			tb.Lines(), len(tb.Words), block, len(wantMasks), len(wantToks))
 	}
 	line, first := 0, uint32(0)
-	for i, s := range tb.Words {
+	for i := range tb.Words {
+		s := tb.dict[tb.Words[i]]
 		for uint32(i) >= tb.lines[line].tokEnd {
 			line++
 			first = uint32(i)

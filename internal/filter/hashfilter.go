@@ -96,11 +96,16 @@ func (h *HashFilter) ResetStats() { h.words, h.lines, h.kept = 0, 0, 0 }
 // evalToken probes the token at position col of the line and folds a hit
 // into the line state.
 func (h *HashFilter) evalToken(tok []byte, col uint16) {
-	row, pairs, ok := h.table.LookupBytes(tok)
-	if !ok {
-		return
+	if row, _, ok := h.table.LookupBytes(tok); ok {
+		h.evalRow(row, col)
 	}
+}
+
+// evalRow folds a token at position col of the line that hit table row
+// row into the line state.
+func (h *HashFilter) evalRow(row int, col uint16) {
 	h.fired = true
+	pairs := h.table.Entry(row).Pairs()
 	for si := 0; si < h.active; si++ {
 		p := pairs[si]
 		if !p.Valid {

@@ -94,7 +94,7 @@ func TestDictionaryCodedPages(t *testing.T) {
 func TestDictionaryIsLossy(t *testing.T) {
 	var b bytes.Buffer
 	for round := 0; round < 3; round++ {
-		for i := 0; i < 3<<internBits; i++ {
+		for i := 0; i < 3<<(internBits-1); i++ {
 			fmt.Fprintf(&b, "t%d x%d", i, i%7)
 			if i%5 == 4 {
 				b.WriteByte('\n')

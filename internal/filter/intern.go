@@ -51,23 +51,21 @@ func loadTail(text []byte, off, end int) uint64 {
 	return w
 }
 
-// internBits sizes Tokenize's intern table: 1,024 slots of 24 bytes, for
+// internBits sizes Tokenize's intern table: 2,048 slots of 4 bytes, for
 // pages of about 120 distinct tokens (Liberty2), so a repeat rarely finds
-// its slot taken by another token.
-const internBits = 10
+// its slot taken by another token, and the table stays in L1 beside the
+// page it codes.
+const internBits = 11
 
-// longToken is an internSlot's size for a token over 16 bytes, whose key
-// is a hash and must be verified.
-const longToken = 17
+// longToken marks the key of a token over 15 bytes, whose key is a hash
+// and must be verified: its top byte, where a shorter token's key holds
+// the token's length.
+const longToken = 0xff << 56
 
-// internSlot remembers the last token that hashed to it: its key, the
-// Tokenize call (generation) that wrote it, and its id.
-type internSlot struct {
-	a, b uint64 // the key
-	gen  uint32
-	id   uint16
-	size uint8 // the token's length, or longToken
-}
+// internKey is a dictionary entry's key: for a token of at most 15 bytes,
+// its bytes as two words with its length in the top byte of the second;
+// for a longer one, its hash and longToken.
+type internKey struct{ a, b uint64 }
 
 // interner assigns page-local token ids for Tokenize. It is lossy and
 // direct-mapped: a token whose slot another token took since it was last
@@ -75,22 +73,25 @@ type internSlot struct {
 // which is all an evaluation by id needs; a repeat that misses its slot
 // only costs one more dictionary entry and one more probe per query.
 //
-// A token of at most 16 bytes is keyed by its length and its bytes, as
-// two words, so a key match needs no hash loop and no verify. A longer
-// token is keyed by SpanHash, and a key match is verified against the
-// bytes of the id's dictionary span.
+// A slot holds the generation (the Tokenize call) that wrote it in its
+// high half and an id in its low half; the id's key, in keys, decides
+// the match. A token of at most 15 bytes is keyed by its length and its
+// bytes, so a key match needs no hash loop and no verify. A longer token
+// is keyed by SpanHash, and a key match is verified against the bytes of
+// the id's dictionary span.
 type interner struct {
-	slots *[1 << internBits]internSlot
-	gen   uint32 // the current Tokenize call's; slots of others are free
+	slots *[1 << internBits]uint32
+	gen   uint32 // the current Tokenize call's, below 1<<16; slots of others are free
+	keys  []internKey
 }
 
 // next starts a new page.
 func (in *interner) next() {
 	if in.slots == nil {
-		in.slots = new([1 << internBits]internSlot)
+		in.slots = new([1 << internBits]uint32)
 	}
 	in.gen++
-	if in.gen == 0 { // wrapped: do a real clear
+	if in.gen == 1<<16 { // wrapped: do a real clear
 		clear(in.slots[:])
 		in.gen = 1
 	}
@@ -102,42 +103,43 @@ func (in *interner) next() {
 //
 //mithrilint:hotpath
 func (p *Pipeline) internSpans(block []byte) {
-	ids, dict, slots, gen := p.ids[:0], p.dict[:0], p.intern.slots, p.intern.gen
+	in := &p.intern
+	ids, dict, keys, slots, gen := p.ids[:0], p.dict[:0], in.keys[:0], in.slots, in.gen
 	for _, s := range p.spans {
 		off, n := int(s.Off), int(s.Len)
-		var a, b uint64
-		size := uint8(longToken)
-		if n <= 16 {
-			size = uint8(n)
-			if off+16 <= len(block) {
-				// Both words, each masked to its share of the token
-				// without a branch on the length (a shift by 64 or more
-				// is 0 in Go): a branch there mispredicts half the time.
-				a = binary.LittleEndian.Uint64(block[off:]) & (1<<(8*uint(n)) - 1)
-				b = binary.LittleEndian.Uint64(block[off+8:]) & (^uint64(0) >> (8 * uint(16-n)))
-			} else if n <= 8 {
-				a = loadTail(block, off, off+n)
+		var k internKey
+		switch {
+		case n < 16 && off+16 <= len(block):
+			// Both words, each masked to its share of the token
+			// without a branch on the length (a shift by 64 or more is
+			// 0 in Go): a branch there mispredicts half the time.
+			k.a = binary.LittleEndian.Uint64(block[off:]) & (1<<(8*uint(n)) - 1)
+			k.b = binary.LittleEndian.Uint64(block[off+8:])&(^uint64(0)>>(8*uint(16-n))) | uint64(n)<<56
+		case n < 16:
+			k.b = uint64(n) << 56
+			if n <= 8 {
+				k.a = loadTail(block, off, off+n)
 			} else {
-				a, b = binary.LittleEndian.Uint64(block[off:]), loadTail(block, off+8, off+n)
+				k.a = binary.LittleEndian.Uint64(block[off:])
+				k.b |= loadTail(block, off+8, off+n)
 			}
-		} else {
-			a = SpanHash(block, off, off+n)
+		default:
+			k.a, k.b = SpanHash(block, off, off+n), longToken
 		}
-		sl := &slots[((a^b*0xbf58476d1ce4e5b9^uint64(size))*0x9e3779b97f4a7c15)>>(64-internBits)]
-		if sl.gen == gen && sl.a == a && sl.b == b && sl.size == size {
-			if size != longToken {
-				ids = append(ids, sl.id)
-				continue
-			}
-			if d := dict[sl.id]; d.Len == s.Len && SpanEqual(block, int(d.Off), off, n) {
-				ids = append(ids, sl.id)
+		sl := &slots[((k.a^k.b*0xbf58476d1ce4e5b9)*0x9e3779b97f4a7c15)>>(64-internBits)]
+		if *sl>>16 == gen {
+			id := uint16(*sl)
+			if keys[id] == k && (k.b != longToken ||
+				dict[id].Len == s.Len && SpanEqual(block, int(dict[id].Off), off, n)) {
+				ids = append(ids, id)
 				continue
 			}
 		}
 		id := uint16(len(dict))
 		dict = append(dict, s)
-		*sl = internSlot{a: a, b: b, gen: gen, id: id, size: size}
+		keys = append(keys, k)
+		*sl = gen<<16 | uint32(id)
 		ids = append(ids, id)
 	}
-	p.ids, p.dict = ids, dict
+	p.ids, p.dict, in.keys = ids, dict, keys
 }

@@ -5,7 +5,9 @@ import (
 	"mithrilog/internal/storage"
 )
 
-// PageCache caches decompressed, tokenized data pages across queries. The
+// PageCache caches decompressed, tokenized data pages across queries —
+// each a filter.TokenizedBlock, its tokens dictionary-coded so that a hit
+// probes each distinct token of the page once per query. The
 // reproduction models it as DRAM on the accelerator side of the device,
 // fronting the flash channels and holding the tokenizer stage's output: a
 // hit skips the internal-link flash read, the LZAH decompression, and the

@@ -8,9 +8,14 @@
 // 16-byte words (~2x the data, hence two hash filters per pipeline);
 // software has no use for the padding, so the scan path finds tokens where
 // they lie in the page (Pipeline.walk), probes them in place, and books
-// the words and cycles from the token lengths alone. TokenizeLine and
-// FeedTagged remain as the word-for-word model; FuzzSpanVsWord pins the
-// two token for token, verdict for verdict and count for count.
+// the words and cycles from the token lengths alone. A page bound for the
+// page cache is tokenized once (Tokenize) into a dictionary-coded
+// TokenizedBlock — a 2-byte page-local id per token, one 8-byte span per
+// distinct token, about 1.5 bytes per raw byte with the text — and a query
+// over it probes each distinct token once (FilterTokenized), where the
+// hardware probes every token. TokenizeLine and FeedTagged remain as the
+// word-for-word model; FuzzSpanVsWord pins both paths to it token for
+// token, verdict for verdict and count for count.
 //
 // Per-set match bitmaps let a single pass answer a union of up to
 // cuckoo.MaxSets intersection sets, which the engine uses both for

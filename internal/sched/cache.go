@@ -12,16 +12,18 @@ import (
 
 // PageCache is the byte-bounded LRU implementation of core.PageCache: a
 // model of DRAM on the accelerator side of the device holding decompressed
-// data pages together with the spans of their tokens. A hit saves the
+// data pages together with their tokens, dictionary-coded (one 2-byte id
+// per token, one text span per distinct token). A hit saves the
 // internal-link flash read, the LZAH decompression, and the tokenization —
 // the cached page re-enters the filter pipeline directly at the hash
 // filters, which is where repeated scans of hot pages spend their time;
 // the cross-query reuse the single-query engine cannot exploit.
 //
 // Entries are whole tokenized pages keyed by storage.PageID. Eviction is
-// strict LRU by total resident bytes (the capacity of the text, span and
-// line-end arrays; see filter.TokenizedBlock.MemSize). InvalidateAll
-// (called by the engine at every flush boundary) empties the cache. All
+// strict LRU by total resident bytes (the capacity of the text, token-id,
+// dictionary and line-end arrays; see filter.TokenizedBlock.MemSize).
+// InvalidateAll (called by the engine at every explicit flush boundary,
+// not by the seal a query runs over pending lines) empties the cache. All
 // methods are safe for concurrent use; Get returns the cached block
 // itself, which callers must treat as read-only (the engine's scan path
 // only reads).
@@ -108,8 +110,8 @@ func (c *PageCache) evictOldest() {
 	c.evictions.Add(1)
 }
 
-// InvalidateAll empties the cache. The engine calls it on every flush
-// boundary so no query can observe pages inconsistent with storage.
+// InvalidateAll empties the cache. The engine calls it on every explicit
+// flush boundary so no query can observe pages inconsistent with storage.
 func (c *PageCache) InvalidateAll() {
 	c.mu.Lock()
 	c.ll.Init()
@@ -155,10 +157,10 @@ func (c *PageCache) RegisterMetrics(reg *obs.Registry) {
 		"Pages evicted from the decompressed-page cache by the LRU byte bound.",
 		nil, func() float64 { return float64(c.evictions.Load()) })
 	reg.CounterFunc("mithrilog_cache_invalidations_total",
-		"Whole-cache invalidations at ingest flush boundaries.",
+		"Whole-cache invalidations at explicit flush boundaries.",
 		nil, func() float64 { return float64(c.invalidations.Load()) })
 	reg.GaugeFunc("mithrilog_cache_bytes",
-		"Resident bytes (page text, token spans and line ends, by backing-array capacity) in the page cache.",
+		"Resident bytes (page text, token ids, token dictionary and line ends, by backing-array capacity) in the page cache.",
 		nil, func() float64 { return float64(c.Bytes()) })
 	reg.GaugeFunc("mithrilog_cache_pages",
 		"Pages currently resident in the page cache.",

@@ -88,10 +88,10 @@ type Config struct {
 	// context.DeadlineExceeded. Zero disables it.
 	QueryTimeout time.Duration
 	// CacheBytes sizes the decompressed-page cache: accelerator-side DRAM
-	// holding decompressed data pages with the spans of their tokens,
+	// holding decompressed data pages with their tokens, dictionary-coded,
 	// shared across queries, so repeated scans of hot pages skip the flash
 	// read, the LZAH decompression, and the tokenization (e.g. 64 << 20
-	// for 64 MiB; a cached page costs about 2.3 bytes per byte of raw
+	// for 64 MiB; a cached page costs about 1.5 bytes per byte of raw
 	// text, all of it counted against the bound). Zero disables caching.
 	CacheBytes int64
 

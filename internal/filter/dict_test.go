@@ -157,8 +157,8 @@ func TestTokenizeIDBound(t *testing.T) {
 }
 
 // TestLiberty2PageDictionary pins the premise of the coding on a real
-// page: far fewer dictionary entries than tokens, and a cached page that
-// costs well under the span form's 2.3 bytes per raw byte.
+// page: far fewer dictionary entries than tokens, and a cached page of
+// under 1.6 bytes per raw byte.
 func TestLiberty2PageDictionary(t *testing.T) {
 	page := bytes.Clone(liberty2Page(t))
 	tb := NewPipeline(PipelineConfig{}).Tokenize(page)

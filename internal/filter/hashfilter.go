@@ -99,15 +99,32 @@ func (h *HashFilter) Kept() uint64 { return h.kept }
 func (h *HashFilter) ResetStats() { h.words, h.lines, h.kept = 0, 0, 0 }
 
 // evalToken probes the token at position col of the line and folds a hit
-// into the line state.
+// into the line state. The fold is written out here and again in evalRow,
+// not shared, so that the fused scan's path per hit stays one call deep.
 func (h *HashFilter) evalToken(tok []byte, col uint16) {
-	if row, _, ok := h.table.LookupBytes(tok); ok {
-		h.evalRow(row, col)
+	row, pairs, ok := h.table.LookupBytes(tok)
+	if !ok {
+		return
+	}
+	h.fired = true
+	for si := 0; si < h.active; si++ {
+		p := pairs[si]
+		if !p.Valid {
+			continue
+		}
+		if p.Column != cuckoo.AnyColumn && p.Column != int16(col) {
+			continue
+		}
+		if p.Negative {
+			h.violated[si] = true
+		} else {
+			h.lineBM[si].Set(row)
+		}
 	}
 }
 
 // evalRow folds a token at position col of the line that hit table row
-// row into the line state.
+// row into the line state, as evalToken does.
 func (h *HashFilter) evalRow(row int, col uint16) {
 	h.fired = true
 	pairs := h.table.Entry(row).Pairs()

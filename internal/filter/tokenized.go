@@ -61,10 +61,9 @@ func (tb *TokenizedBlock) Lines() int { return len(tb.lines) }
 // maxTokenizeBytes bounds the block Tokenize takes, so that every id fits
 // a uint16: a token and its delimiter take at least two bytes, so a block
 // of fewer than 128 KiB holds at most 65,536 tokens, and each token adds
-// at most one id. (Exact dedupe would give a wider margin still: 253
-// one-byte and 64,009 two-byte distinct tokens already take ~192 KB.) A
-// data page decodes to under 32 KiB: each 2-byte LZAH match yields at most
-// 16 bytes of a 4 KiB page.
+// at most one id, however lossy the intern table. A data page decodes to
+// under 32 KiB: each 2-byte LZAH match yields at most 16 bytes of a 4 KiB
+// page.
 const maxTokenizeBytes = 128 << 10
 
 // Tokenize runs the pipeline's tokenizer stage over a newline-separated

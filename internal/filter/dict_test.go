@@ -10,39 +10,53 @@ import (
 )
 
 // checkDict asserts the dictionary's shape on a tokenized block: every id
-// names an entry, and every entry is some token's id. (checkSpanVsWord
-// checks that each occurrence holds its entry's bytes.)
+// names an entry, and the entries are the block's distinct tokens, each
+// once, in the order the block first shows them. (checkSpanVsWord checks
+// that each occurrence holds its entry's bytes.)
 func checkDict(t *testing.T, tb *TokenizedBlock) {
 	t.Helper()
-	used := make([]bool, len(tb.dict))
 	for i, id := range tb.Words {
 		if int(id) >= len(tb.dict) {
 			t.Fatalf("token %d has id %d of %d entries", i, id, len(tb.dict))
 		}
-		used[id] = true
 	}
-	for id, u := range used {
-		if !u {
-			t.Fatalf("dictionary entry %d is never used", id)
+	want := firstSeen(tb.Block)
+	seen := map[string]int{}
+	for id, s := range tb.dict {
+		tok := string(tb.Block[s.Off : s.Off+s.Len])
+		if prev, ok := seen[tok]; ok {
+			t.Fatalf("dictionary entries %d and %d both hold %q", prev, id, tok)
 		}
+		seen[tok] = id
+		if id >= len(want) || tok != want[id] {
+			t.Fatalf("dictionary entry %d is %q; the block's distinct tokens in first-seen order are %q", id, tok, want)
+		}
+	}
+	if len(tb.dict) != len(want) {
+		t.Fatalf("%d dictionary entries for %d distinct tokens", len(tb.dict), len(want))
 	}
 }
 
-// distinctTokens counts the distinct tokens of block: maximal runs of
-// bytes other than space, tab and newline.
-func distinctTokens(block []byte) int {
+// firstSeen lists the distinct tokens of block — maximal runs of bytes
+// other than space, tab and newline — in the order it first shows them.
+func firstSeen(block []byte) []string {
+	var toks []string
 	seen := map[string]bool{}
 	start := 0
 	for i := 0; i <= len(block); i++ {
 		if i == len(block) || block[i] == ' ' || block[i] == '\t' || block[i] == '\n' {
-			if i > start {
-				seen[string(block[start:i])] = true
+			if tok := string(block[start:i]); i > start && !seen[tok] {
+				seen[tok] = true
+				toks = append(toks, tok)
 			}
 			start = i + 1
 		}
 	}
-	return len(seen)
+	return toks
 }
+
+// distinctTokens counts the distinct tokens of block.
+func distinctTokens(block []byte) int { return len(firstSeen(block)) }
 
 // TestDictionaryCodedPages runs blocks whose tokens repeat on one page,
 // across lines and across columns, under column-constrained (template),
@@ -88,10 +102,11 @@ func TestDictionaryCodedPages(t *testing.T) {
 	}
 }
 
-// TestDictionaryIsLossy fills the intern table past its size with tokens
-// that each repeat after many others, so repeats find their slots taken
-// and get second ids. Evaluation must not notice: same id, same bytes.
-func TestDictionaryIsLossy(t *testing.T) {
+// TestDictionaryIsExact fills a page with more distinct tokens than the
+// intern table first holds, each repeating after many others, so the
+// table must grow while repeats probe past other tokens' slots. Every
+// repeat must find its first id: one entry per distinct token.
+func TestDictionaryIsExact(t *testing.T) {
 	var b bytes.Buffer
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 3<<(internBits-1); i++ {
@@ -107,8 +122,8 @@ func TestDictionaryIsLossy(t *testing.T) {
 	block := b.Bytes()
 	tb := NewPipeline(PipelineConfig{}).Tokenize(block)
 	checkDict(t, tb)
-	if len(tb.dict) <= distinctTokens(block) {
-		t.Fatalf("%d entries for %d distinct tokens: no repeat missed its slot", len(tb.dict), distinctTokens(block))
+	if len(tb.dict) != distinctTokens(block) {
+		t.Fatalf("%d entries for %d distinct tokens", len(tb.dict), distinctTokens(block))
 	}
 	for _, qs := range []string{`(t1:0 AND x1) OR (error)`, `NOT x3`, `(t7 AND NOT x0) OR (t3000)`} {
 		checkSpanVsWord(t, block, query.MustParse(qs))

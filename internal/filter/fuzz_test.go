@@ -85,7 +85,8 @@ func sampleLines(q query.Query) [][]byte {
 // HashFilter.FeedTagged) on kept lines, per-line set masks, token
 // boundaries and columns, and every PipelineStats field — the word and
 // cycle counts the walker never materialises included. See
-// checkSpanVsWord.
+// checkSpanVsWord; checkDict pins the dictionary to the block's distinct
+// tokens.
 func FuzzSpanVsWord(f *testing.F) {
 	for _, block := range []string{
 		"",
@@ -118,5 +119,6 @@ func FuzzSpanVsWord(f *testing.F) {
 			return
 		}
 		checkSpanVsWord(t, block, q)
+		checkDict(t, NewPipeline(PipelineConfig{}).Tokenize(block))
 	})
 }

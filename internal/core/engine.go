@@ -115,12 +115,12 @@ type Engine struct {
 
 	// ingest scratch, reused across pages so the steady-state ingest path
 	// allocates nothing per line: the compressed image of pending with a
-	// cut at every line end, and the page indexer's distinct-token set and
-	// first-seen token list.
-	compBuf  []byte         // guarded by mu
-	cuts     []lzah.LineCut // guarded by mu
-	pageSet  tokenSet       // guarded by mu
-	pageToks [][]byte       // guarded by mu
+	// cut at every line end, the page indexer's pipeline (its page
+	// dictionary) and its first-seen token list.
+	compBuf  []byte           // guarded by mu
+	cuts     []lzah.LineCut   // guarded by mu
+	pagePipe *filter.Pipeline // guarded by mu
+	pageToks [][]byte         // guarded by mu
 
 	// ingest profiling (wall time per stage)
 	profile IngestProfile // guarded by mu
@@ -164,6 +164,7 @@ func newEngine(cfg Config, store *storage.SegmentStore) *Engine {
 		codec:      lzah.NewCodec(cfg.Compression),
 		cache:      cfg.PageCache,
 		ratioGuess: 3.0,
+		pagePipe:   filter.NewPipeline(cfg.Pipeline),
 		met:        newEngineMetrics(reg),
 	}
 	e.scanPool.New = func() interface{} { return newScanState(cfg) }

@@ -46,6 +46,19 @@ func BenchmarkTokenize(b *testing.B) {
 	}
 }
 
+// BenchmarkDictionary is the ingest indexer's share of a page: the
+// distinct tokens of one Liberty2 page and its line count.
+func BenchmarkDictionary(b *testing.B) {
+	page := liberty2Page(b)
+	p := NewPipeline(PipelineConfig{})
+	b.SetBytes(int64(len(page)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Dictionary(page)
+	}
+}
+
 // BenchmarkFilterTokenized is the cost of a page-cache hit: evaluating
 // one tokenized Liberty2 page against a query.
 func BenchmarkFilterTokenized(b *testing.B) {

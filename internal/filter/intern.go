@@ -1,11 +1,14 @@
 package filter
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
-// SpanEqual reports whether text[a:a+n] and text[b:b+n] hold the same
+// spanEqual reports whether text[a:a+n] and text[b:b+n] hold the same
 // bytes, for a < b: eight bytes per compare, the tail as one masked
 // compare when the text runs on past the later span.
-func SpanEqual(text []byte, a, b, n int) bool {
+func spanEqual(text []byte, a, b, n int) bool {
 	for ; n >= 8; a, b, n = a+8, b+8, n-8 {
 		if binary.LittleEndian.Uint64(text[a:]) != binary.LittleEndian.Uint64(text[b:]) {
 			return false
@@ -21,12 +24,11 @@ func SpanEqual(text []byte, a, b, n int) bool {
 	return string(text[a:a+n]) == string(text[b:b+n])
 }
 
-// SpanHash hashes text[off:end] eight bytes per multiply. The tail is one
-// masked load when the text runs on past it, bytes otherwise. Its users —
-// the engine's per-page token set and Tokenize's intern table — verify
-// every hit, so it need match no other hash; the index keeps its own
-// (FNV-1a).
-func SpanHash(text []byte, off, end int) uint64 {
+// spanHash hashes text[off:end] eight bytes per multiply. The tail is one
+// masked load when the text runs on past it, bytes otherwise. The intern
+// table verifies every hit, so it need match no other hash; the index
+// keeps its own (FNV-1a).
+func spanHash(text []byte, off, end int) uint64 {
 	h := uint64(end-off) * 0x9e3779b97f4a7c15
 	for ; off+8 <= end; off += 8 {
 		h = (h ^ binary.LittleEndian.Uint64(text[off:])) * 0xbf58476d1ce4e5b9
@@ -51,10 +53,11 @@ func loadTail(text []byte, off, end int) uint64 {
 	return w
 }
 
-// internBits sizes Tokenize's intern table: 2,048 slots of 4 bytes, for
-// pages of about 120 distinct tokens (Liberty2), so a repeat rarely finds
-// its slot taken by another token, and the table stays in L1 beside the
-// page it codes.
+// internBits sizes the intern table as a page starts it: 2,048 slots of
+// 4 bytes, for pages of about 150 distinct tokens (Liberty2), so a probe
+// rarely passes another token's slot, and the table stays in L1 beside
+// the page it codes. A page with more than 1,024 distinct tokens doubles
+// it, and it keeps that size.
 const internBits = 11
 
 // longToken marks the key of a token over 15 bytes, whose key is a hash
@@ -67,45 +70,79 @@ const longToken = 0xff << 56
 // for a longer one, its hash and longToken.
 type internKey struct{ a, b uint64 }
 
-// interner assigns page-local token ids for Tokenize. It is lossy and
-// direct-mapped: a token whose slot another token took since it was last
-// seen gets a second id. The rule it keeps is "same id ⇒ same bytes",
-// which is all an evaluation by id needs; a repeat that misses its slot
-// only costs one more dictionary entry and one more probe per query.
+// slot is the key's home slot in a table of 1<<(64-shift) slots.
+func (k internKey) slot(shift uint) int {
+	return int(((k.a ^ bits.RotateLeft64(k.b, 29)) * 0x9e3779b97f4a7c15) >> shift)
+}
+
+// interner assigns page-local token ids: the page dictionary's table. It
+// is exact — equal bytes get one id, and one id names equal bytes — an
+// open-addressed table with linear probing, at most half full.
 //
-// A slot holds the generation (the Tokenize call) that wrote it in its
-// high half and an id in its low half; the id's key, in keys, decides
-// the match. A token of at most 15 bytes is keyed by its length and its
-// bytes, so a key match needs no hash loop and no verify. A longer token
-// is keyed by SpanHash, and a key match is verified against the bytes of
-// the id's dictionary span.
+// A slot holds the generation (the page) that wrote it in its high half
+// and an id in its low half; the id's key, in keys, decides the match. A
+// token of at most 15 bytes is keyed by its length and its bytes, so a
+// key match needs no hash loop and no verify. A longer token is keyed by
+// spanHash, and a key match is verified against the bytes of the id's
+// dictionary span.
 type interner struct {
-	slots *[1 << internBits]uint32
-	gen   uint32 // the current Tokenize call's, below 1<<16; slots of others are free
+	slots []uint32 // a power of two long
+	shift uint     // 64 - log2(len(slots))
+	gen   uint32   // the current page's, below 1<<16; slots of others are free
 	keys  []internKey
 }
 
 // next starts a new page.
 func (in *interner) next() {
-	if in.slots == nil {
-		in.slots = new([1 << internBits]uint32)
+	if cap(in.slots) == 0 {
+		in.slots, in.shift = make([]uint32, 1<<internBits), 64-internBits
 	}
 	in.gen++
 	if in.gen == 1<<16 { // wrapped: do a real clear
-		clear(in.slots[:])
+		clear(in.slots)
 		in.gen = 1
 	}
 }
 
+// grow doubles the table, appending it to itself so the one growth path
+// is append's, and re-places each of the page's ids from its key.
+func (in *interner) grow() {
+	in.slots = append(in.slots, in.slots...)
+	in.shift--
+	clear(in.slots)
+	mask := len(in.slots) - 1
+	for id, k := range in.keys {
+		i := k.slot(in.shift)
+		for in.slots[i]>>16 == in.gen {
+			i = (i + 1) & mask
+		}
+		in.slots[i] = in.gen<<16 | uint32(id)
+	}
+}
+
 // internSpans codes the tokens walk recorded in p.spans as ids in p.ids,
-// with one span per id in p.dict, in the intern table's current
-// generation (interner.next).
+// with one span per distinct token in p.dict, in first-seen order, in the
+// intern table's current generation (interner.next).
 //
 //mithrilint:hotpath
 func (p *Pipeline) internSpans(block []byte) {
 	in := &p.intern
-	ids, dict, keys, slots, gen := p.ids[:0], p.dict[:0], in.keys[:0], in.slots, in.gen
-	for _, s := range p.spans {
+	spans := p.spans
+	// Sized for every token distinct, so that the loop writes by index and
+	// carries one count, not three slice headers, from token to token.
+	if cap(p.ids) < len(spans) {
+		p.ids = make([]uint16, len(spans))
+	}
+	if cap(p.dict) < len(spans) {
+		p.dict = make([]Span, len(spans))
+	}
+	if cap(in.keys) < len(spans) {
+		in.keys = make([]internKey, len(spans))
+	}
+	ids, dict, keys := p.ids[:len(spans)], p.dict[:len(spans)], in.keys[:len(spans)]
+	distinct := 0
+	slots, gen, shift := in.slots, in.gen, in.shift
+	for j, s := range spans {
 		off, n := int(s.Off), int(s.Len)
 		var k internKey
 		switch {
@@ -113,8 +150,9 @@ func (p *Pipeline) internSpans(block []byte) {
 			// Both words, each masked to its share of the token
 			// without a branch on the length (a shift by 64 or more is
 			// 0 in Go): a branch there mispredicts half the time.
-			k.a = binary.LittleEndian.Uint64(block[off:]) & (1<<(8*uint(n)) - 1)
-			k.b = binary.LittleEndian.Uint64(block[off+8:])&(^uint64(0)>>(8*uint(16-n))) | uint64(n)<<56
+			w := block[off : off+16 : off+16]
+			k.a = binary.LittleEndian.Uint64(w) & (1<<(8*uint(n)) - 1)
+			k.b = binary.LittleEndian.Uint64(w[8:])&(^uint64(0)>>(8*uint(16-n))) | uint64(n)<<56
 		case n < 16:
 			k.b = uint64(n) << 56
 			if n <= 8 {
@@ -124,22 +162,29 @@ func (p *Pipeline) internSpans(block []byte) {
 				k.b |= loadTail(block, off+8, off+n)
 			}
 		default:
-			k.a, k.b = SpanHash(block, off, off+n), longToken
+			k.a, k.b = spanHash(block, off, off+n), longToken
 		}
-		sl := &slots[((k.a^k.b*0xbf58476d1ce4e5b9)*0x9e3779b97f4a7c15)>>(64-internBits)]
-		if *sl>>16 == gen {
-			id := uint16(*sl)
-			if keys[id] == k && (k.b != longToken ||
-				dict[id].Len == s.Len && SpanEqual(block, int(dict[id].Off), off, n)) {
-				ids = append(ids, id)
-				continue
+		for i := k.slot(shift); ; i = (i + 1) & (len(slots) - 1) {
+			sl := slots[i]
+			if sl>>16 != gen { // free: a new token
+				id := uint16(distinct)
+				dict[distinct], keys[distinct] = s, k
+				distinct++
+				ids[j] = id
+				slots[i] = gen<<16 | uint32(id)
+				if 2*distinct > len(slots) {
+					in.keys = keys[:distinct]
+					in.grow()
+					slots, shift = in.slots, in.shift
+				}
+				break
+			}
+			if id := uint16(sl); keys[id] == k && (k.b != longToken ||
+				dict[id].Len == s.Len && spanEqual(block, int(dict[id].Off), off, n)) {
+				ids[j] = id
+				break
 			}
 		}
-		id := uint16(len(dict))
-		dict = append(dict, s)
-		keys = append(keys, k)
-		*sl = gen<<16 | uint32(id)
-		ids = append(ids, id)
 	}
-	p.ids, p.dict, in.keys = ids, dict, keys
+	p.ids, p.dict, in.keys = ids, dict[:distinct], keys[:distinct]
 }

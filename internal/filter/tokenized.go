@@ -38,8 +38,8 @@ type TokenizedBlock struct {
 	Block []byte
 	// Words holds one page-local token id per token of every line, in
 	// order. (The name is the datapath's, and the benchmark's: one entry
-	// per token, not per 16-byte word.) Equal ids name equal bytes; equal
-	// bytes usually, not always, share an id.
+	// per token, not per 16-byte word.) Equal ids name equal bytes, and
+	// equal bytes share an id.
 	Words []uint16
 	dict  []Span // the text of each id
 	lines []lineEnd
@@ -58,13 +58,32 @@ func (tb *TokenizedBlock) MemSize() int64 {
 // Lines reports the number of lines in the block.
 func (tb *TokenizedBlock) Lines() int { return len(tb.lines) }
 
-// maxTokenizeBytes bounds the block Tokenize takes, so that every id fits
-// a uint16: a token and its delimiter take at least two bytes, so a block
-// of fewer than 128 KiB holds at most 65,536 tokens, and each token adds
-// at most one id, however lossy the intern table. A data page decodes to
-// under 32 KiB: each 2-byte LZAH match yields at most 16 bytes of a 4 KiB
-// page.
+// maxTokenizeBytes bounds the block Dictionary and Tokenize take, so that
+// every id fits a uint16: a token and its delimiter take at least two
+// bytes, so a block of fewer than 128 KiB holds at most 65,536 tokens,
+// and so at most as many distinct ones. A data page decodes to under
+// 32 KiB: each 2-byte LZAH match yields at most 16 bytes of a 4 KiB page.
 const maxTokenizeBytes = 128 << 10
+
+// Dictionary is the tokenizer stage's page dictionary, the one table both
+// the page cache (Tokenize) and the ingest-side indexer dedupe a page's
+// tokens through. It runs the tokenizer stage over a newline-separated
+// text block and interns every token, and returns the block's distinct
+// tokens as spans of it, each once, in the order the block first shows
+// them, and its line count (a trailing fragment without a newline is a
+// line). The spans are the pipeline's own, valid until its next call. The
+// block must be shorter than 128 KiB (maxTokenizeBytes); Dictionary panics
+// otherwise. The tokenizer array's statistics accumulate as in Tokenize.
+func (p *Pipeline) Dictionary(block []byte) (dict []Span, lines int) {
+	if len(block) >= maxTokenizeBytes {
+		panic(fmt.Sprintf("filter: a page dictionary of a %d-byte block; the bound is %d", len(block), maxTokenizeBytes))
+	}
+	p.spans, p.ends = p.spans[:0], p.ends[:0]
+	p.walk(block, true)
+	p.intern.next()
+	p.internSpans(block)
+	return p.dict, len(p.ends)
+}
 
 // Tokenize runs the pipeline's tokenizer stage over a newline-separated
 // text block (as emitted line-aligned by the decompressor, §5) and
@@ -75,13 +94,7 @@ const maxTokenizeBytes = 128 << 10
 // so a miss-path Tokenize followed by FilterTokenized is stat-identical to
 // FilterBlock over the same text.
 func (p *Pipeline) Tokenize(block []byte) *TokenizedBlock {
-	if len(block) >= maxTokenizeBytes {
-		panic(fmt.Sprintf("filter: Tokenize of a %d-byte block; the bound is %d", len(block), maxTokenizeBytes))
-	}
-	p.spans, p.ends = p.spans[:0], p.ends[:0]
-	p.walk(block, true)
-	p.intern.next()
-	p.internSpans(block)
+	p.Dictionary(block)
 	// Right-sized copies out of the reused buffers: these live as long as
 	// the page stays cached, and the cache is charged their capacity.
 	return &TokenizedBlock{

@@ -362,13 +362,27 @@ func (e *Engine) flushLocked() error {
 	return nil
 }
 
-// seal is the query-time seal: it makes buffered lines visible to a query
-// by writing them into data pages, the last possibly underfull, and
-// indexing them. It is not a Flush: the index keeps its bucket buffers in
-// memory, where Lookup reads them first, and the page cache keeps its
-// pages, since data pages are append-only and keyed by ID, so a new page
-// cannot make a cached one stale.
-func (e *Engine) seal() error {
+// sealPending is a query's prologue, run before the query takes the read
+// lock it scans under: queries share the device and run concurrently
+// under that lock, and only the query-time seal needs the write lock, so
+// it is taken only when lines are buffered, under sp's "flush" child
+// span. Lines buffered after the seal wait for the next query.
+//
+// The seal makes buffered lines visible to a query by writing them into
+// data pages, the last possibly underfull, and indexing them. It is not a
+// Flush: the index keeps its bucket buffers in memory, where Lookup reads
+// them first, and the page cache keeps its pages, since data pages are
+// append-only and keyed by ID, so a new page cannot make a cached one
+// stale.
+func (e *Engine) sealPending(sp *obs.Span) error {
+	e.mu.RLock()
+	pending := len(e.pending) > 0
+	e.mu.RUnlock()
+	if !pending {
+		return nil
+	}
+	flushSpan := sp.StartChild("flush")
+	defer flushSpan.End()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.sealLocked()

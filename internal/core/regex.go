@@ -122,14 +122,10 @@ func (e *Engine) SearchRegexOpts(pattern string, opts RegexOptions) (RegexResult
 	if err := ctxErr(opts.Ctx); err != nil {
 		return res, err
 	}
-	e.mu.RLock()
-	if len(e.pending) > 0 {
-		e.mu.RUnlock()
-		if err := e.seal(); err != nil {
-			return res, err
-		}
-		e.mu.RLock()
+	if err := e.sealPending(nil); err != nil {
+		return res, err
 	}
+	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if len(e.dataPages) == 0 && len(e.pending) == 0 {
 		return res, ErrNothingIngested

@@ -130,22 +130,14 @@ func (e *Engine) Search(q query.Query, opts SearchOptions) (SearchResult, error)
 	if err := ctxErr(opts.Ctx); err != nil {
 		return res, err
 	}
-	// Queries share the device: they run concurrently under a read lock,
-	// each with its own pipeline set from the pool. Only sealing pending
-	// lines needs the write lock, so take it up front when required.
-	e.mu.RLock()
-	if len(e.pending) > 0 {
-		e.mu.RUnlock()
-		// Make buffered lines visible: real systems answer queries over
-		// data that has reached storage; we seal it for determinism.
-		flushSpan := sp.StartChild("flush")
-		err := e.seal()
-		flushSpan.End()
-		if err != nil {
-			return res, err
-		}
-		e.mu.RLock()
+	// Make buffered lines visible: real systems answer queries over data
+	// that has reached storage; we seal it for determinism. Queries then
+	// run concurrently under the read lock, each with its own pipeline
+	// set from the pool.
+	if err := e.sealPending(sp); err != nil {
+		return res, err
 	}
+	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if len(e.dataPages) == 0 && len(e.pending) == 0 {
 		return res, ErrNothingIngested

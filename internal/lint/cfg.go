@@ -40,9 +40,6 @@ type cfgBlock struct {
 type funcCFG struct {
 	entry, exit *cfgBlock
 	blocks      []*cfgBlock
-	// defers are the defer statements registered anywhere in the body;
-	// their calls execute at every path into exit.
-	defers []*ast.DeferStmt
 }
 
 // cfgScope is one enclosing breakable/continuable construct.
@@ -185,10 +182,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt, label string) {
 			b.edge(b.cur, b.g.exit)
 			b.cur = nil
 		}
-
-	case *ast.DeferStmt:
-		b.add(s)
-		b.g.defers = append(b.g.defers, s)
 
 	case *ast.BranchStmt:
 		name := ""
@@ -396,7 +389,8 @@ func (b *cfgBuilder) stmt(s ast.Stmt, label string) {
 		b.cur = join
 
 	default:
-		// Assignments, declarations, sends, go statements, inc/dec.
+		// Assignments, declarations, sends, go and defer statements,
+		// inc/dec.
 		b.add(s)
 	}
 }

@@ -191,18 +191,6 @@ func TestCFGBranching(t *testing.T) {
 	}
 }
 
-func TestCFGDefersCollected(t *testing.T) {
-	g := parseFunc(t, `func f(c bool) {
-		defer println("one")
-		if c {
-			defer println("two")
-		}
-	}`)
-	if len(g.defers) != 2 {
-		t.Errorf("got %d defers, want 2", len(g.defers))
-	}
-}
-
 // checkFunc type-checks a one-function file and returns the declaration,
 // its CFG, and the type info, for the dataflow tests.
 func checkFunc(t *testing.T, src string) (*funcCFG, *types.Info) {

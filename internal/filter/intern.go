@@ -53,12 +53,13 @@ func loadTail(text []byte, off, end int) uint64 {
 	return w
 }
 
-// internBits sizes the intern table as a page starts it: 2,048 slots of
+// internBits sizes the intern table as a page starts it: 1,024 slots of
 // 4 bytes, for pages of about 150 distinct tokens (Liberty2), so a probe
-// rarely passes another token's slot, and the table stays in L1 beside
-// the page it codes. A page with more than 1,024 distinct tokens doubles
-// it, and it keeps that size.
-const internBits = 11
+// rarely passes another token's slot, and the table, with the 513
+// dictionary entries and keys it has room for, stays in L1 beside the
+// page it codes. A page with more than 512 distinct tokens doubles it, and
+// the pipeline keeps that size.
+const internBits = 10
 
 // longToken marks the key of a token over 15 bytes, whose key is a hash
 // and must be verified: its top byte, where a shorter token's key holds
@@ -104,8 +105,9 @@ func (in *interner) next() {
 	}
 }
 
-// grow doubles the table, appending it to itself so the one growth path
-// is append's, and re-places each of the page's ids from its key.
+// grow doubles the table and re-places each of the page's ids from its
+// key. It doubles by appending the table to itself: growth by append on a
+// reused buffer is the form the hot-path allocation check accepts.
 func (in *interner) grow() {
 	in.slots = append(in.slots, in.slots...)
 	in.shift--
@@ -120,6 +122,24 @@ func (in *interner) grow() {
 	}
 }
 
+// room returns the dictionary and its keys at the most entries a page can
+// make before the table grows — half its slots, and the entry that grows
+// it — keeping their first n entries.
+func (p *Pipeline) room(n int) ([]Span, []internKey) {
+	m := len(p.intern.slots)/2 + 1
+	if cap(p.dict) < m {
+		d := make([]Span, m)
+		copy(d, p.dict[:n])
+		p.dict = d
+	}
+	if cap(p.intern.keys) < m {
+		k := make([]internKey, m)
+		copy(k, p.intern.keys[:n])
+		p.intern.keys = k
+	}
+	return p.dict[:m], p.intern.keys[:m]
+}
+
 // internSpans codes the tokens walk recorded in p.spans as ids in p.ids,
 // with one span per distinct token in p.dict, in first-seen order, in the
 // intern table's current generation (interner.next).
@@ -128,63 +148,67 @@ func (in *interner) grow() {
 func (p *Pipeline) internSpans(block []byte) {
 	in := &p.intern
 	spans := p.spans
-	// Sized for every token distinct, so that the loop writes by index and
-	// carries one count, not three slice headers, from token to token.
 	if cap(p.ids) < len(spans) {
 		p.ids = make([]uint16, len(spans))
 	}
-	if cap(p.dict) < len(spans) {
-		p.dict = make([]Span, len(spans))
-	}
-	if cap(in.keys) < len(spans) {
-		in.keys = make([]internKey, len(spans))
-	}
-	ids, dict, keys := p.ids[:len(spans)], p.dict[:len(spans)], in.keys[:len(spans)]
+	ids := p.ids[:len(spans)]
 	distinct := 0
-	slots, gen, shift := in.slots, in.gen, in.shift
-	for j, s := range spans {
-		off, n := int(s.Off), int(s.Len)
-		var k internKey
-		switch {
-		case n < 16 && off+16 <= len(block):
-			// Both words, each masked to its share of the token
-			// without a branch on the length (a shift by 64 or more is
-			// 0 in Go): a branch there mispredicts half the time.
-			w := block[off : off+16 : off+16]
-			k.a = binary.LittleEndian.Uint64(w) & (1<<(8*uint(n)) - 1)
-			k.b = binary.LittleEndian.Uint64(w[8:])&(^uint64(0)>>(8*uint(16-n))) | uint64(n)<<56
-		case n < 16:
-			k.b = uint64(n) << 56
-			if n <= 8 {
-				k.a = loadTail(block, off, off+n)
-			} else {
-				k.a = binary.LittleEndian.Uint64(block[off:])
-				k.b |= loadTail(block, off+8, off+n)
-			}
-		default:
-			k.a, k.b = spanHash(block, off, off+n), longToken
-		}
-		for i := k.slot(shift); ; i = (i + 1) & (len(slots) - 1) {
-			sl := slots[i]
-			if sl>>16 != gen { // free: a new token
-				id := uint16(distinct)
-				dict[distinct], keys[distinct] = s, k
-				distinct++
-				ids[j] = id
-				slots[i] = gen<<16 | uint32(id)
-				if 2*distinct > len(slots) {
-					in.keys = keys[:distinct]
-					in.grow()
-					slots, shift = in.slots, in.shift
+	// One run per table size. A run ends when its table is half full, and
+	// the next one starts on the grown table, so within a run the loop
+	// carries only the count from token to token: it writes by index, and
+	// the table, the dictionary and the keys stay put.
+	for j := 0; j < len(spans); {
+		dict, keys := p.room(distinct)
+		slots, gen, shift := in.slots, in.gen, in.shift
+	run:
+		for ; j < len(spans); j++ {
+			s := spans[j]
+			off, n := int(s.Off), int(s.Len)
+			var k internKey
+			switch {
+			case n < 16 && off+16 <= len(block):
+				// Both words, each masked to its share of the token
+				// without a branch on the length (a shift by 64 or
+				// more is 0 in Go): a branch there mispredicts half
+				// the time.
+				w := block[off : off+16 : off+16]
+				k.a = binary.LittleEndian.Uint64(w) & (1<<(8*uint(n)) - 1)
+				k.b = binary.LittleEndian.Uint64(w[8:])&(^uint64(0)>>(8*uint(16-n))) | uint64(n)<<56
+			case n < 16:
+				k.b = uint64(n) << 56
+				if n <= 8 {
+					k.a = loadTail(block, off, off+n)
+				} else {
+					k.a = binary.LittleEndian.Uint64(block[off:])
+					k.b |= loadTail(block, off+8, off+n)
 				}
-				break
+			default:
+				k.a, k.b = spanHash(block, off, off+n), longToken
 			}
-			if id := uint16(sl); keys[id] == k && (k.b != longToken ||
-				dict[id].Len == s.Len && spanEqual(block, int(dict[id].Off), off, n)) {
-				ids[j] = id
-				break
+			for i := k.slot(shift); ; i = (i + 1) & (len(slots) - 1) {
+				sl := slots[i]
+				if sl>>16 != gen { // free: a new token
+					dict[distinct], keys[distinct] = s, k
+					ids[j] = uint16(distinct)
+					slots[i] = gen<<16 | uint32(distinct)
+					distinct++
+					if 2*distinct > len(slots) {
+						j++
+						break run
+					}
+					break
+				}
+				if id := uint16(sl); keys[id] == k && (k.b != longToken ||
+					dict[id].Len == s.Len && spanEqual(block, int(dict[id].Off), off, n)) {
+					ids[j] = id
+					break
+				}
 			}
+		}
+		if 2*distinct > len(slots) {
+			in.keys = keys[:distinct]
+			in.grow()
 		}
 	}
-	p.ids, p.dict, in.keys = ids, dict[:distinct], keys[:distinct]
+	p.ids, p.dict, in.keys = ids, p.dict[:distinct], in.keys[:distinct]
 }

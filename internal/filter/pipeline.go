@@ -88,7 +88,7 @@ type Pipeline struct {
 
 	// What the last call found, in buffers every call reuses: each line's
 	// mask and the kept lines (evaluating); each token's span, its id,
-	// each id's span and each line's ends (Tokenize); each id's table row
+	// each id's span and each line's ends (Dictionary); each id's table row
 	// or -1 (FilterTokenized). Valid until the pipeline's next call.
 	masks     []SetMask
 	keptLines [][]byte

@@ -28,8 +28,8 @@ import (
 //
 //   - `string(b)` as a map index (probe or insert) or comparison
 //     operand: the compiler elides the copy (a map insert still copies
-//     its key; ingest's per-page token set keys tokens by their span in
-//     the page text instead, so it copies none).
+//     its key; the page dictionary keys tokens by their bytes and their
+//     span in the page text instead, so it copies none).
 //   - make inside an `if` whose condition contains cap(): the
 //     grow-on-demand shape (Decompress) that is amortized-free.
 //   - Appends rooted in a parameter, a struct field, or a reslice of

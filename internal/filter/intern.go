@@ -90,13 +90,17 @@ type interner struct {
 	slots []uint32 // a power of two long
 	shift uint     // 64 - log2(len(slots))
 	gen   uint32   // the current page's, below 1<<16; slots of others are free
-	keys  []internKey
+	// Each id's span and key, with room for the most ids a page can make
+	// before the table grows: half its slots, and the id that grows it.
+	dict []Span
+	keys []internKey
 }
 
 // next starts a new page.
 func (in *interner) next() {
 	if cap(in.slots) == 0 {
 		in.slots, in.shift = make([]uint32, 1<<internBits), 64-internBits
+		in.dict, in.keys = make([]Span, 1<<(internBits-1)+1), make([]internKey, 1<<(internBits-1)+1)
 	}
 	in.gen++
 	if in.gen == 1<<16 { // wrapped: do a real clear
@@ -105,15 +109,17 @@ func (in *interner) next() {
 	}
 }
 
-// grow doubles the table and re-places each of the page's ids from its
-// key. It doubles by appending the table to itself: growth by append on a
-// reused buffer is the form the hot-path allocation check accepts.
-func (in *interner) grow() {
+// grow doubles the table, and the room beside it, and re-places the
+// page's first n ids from their keys. It doubles each by appending it to
+// itself: growth by append on a reused buffer is the form the hot-path
+// allocation check accepts.
+func (in *interner) grow(n int) {
 	in.slots = append(in.slots, in.slots...)
+	in.dict, in.keys = append(in.dict, in.dict...), append(in.keys, in.keys...)
 	in.shift--
 	clear(in.slots)
 	mask := len(in.slots) - 1
-	for id, k := range in.keys {
+	for id, k := range in.keys[:n] {
 		i := k.slot(in.shift)
 		for in.slots[i]>>16 == in.gen {
 			i = (i + 1) & mask
@@ -122,44 +128,25 @@ func (in *interner) grow() {
 	}
 }
 
-// room returns the dictionary and its keys at the most entries a page can
-// make before the table grows — half its slots, and the entry that grows
-// it — keeping their first n entries.
-func (p *Pipeline) room(n int) ([]Span, []internKey) {
-	m := len(p.intern.slots)/2 + 1
-	if cap(p.dict) < m {
-		d := make([]Span, m)
-		copy(d, p.dict[:n])
-		p.dict = d
-	}
-	if cap(p.intern.keys) < m {
-		k := make([]internKey, m)
-		copy(k, p.intern.keys[:n])
-		p.intern.keys = k
-	}
-	return p.dict[:m], p.intern.keys[:m]
-}
-
 // internSpans codes the tokens walk recorded in p.spans as ids in p.ids,
-// with one span per distinct token in p.dict, in first-seen order, in the
-// intern table's current generation (interner.next).
+// in the intern table's current generation (interner.next), and returns
+// how many are distinct: the first that many entries of p.intern.dict
+// hold one span per distinct token, in first-seen order.
 //
 //mithrilint:hotpath
-func (p *Pipeline) internSpans(block []byte) {
+func (p *Pipeline) internSpans(block []byte) (distinct int) {
 	in := &p.intern
 	spans := p.spans
 	if cap(p.ids) < len(spans) {
 		p.ids = make([]uint16, len(spans))
 	}
 	ids := p.ids[:len(spans)]
-	distinct := 0
 	// One run per table size. A run ends when its table is half full, and
 	// the next one starts on the grown table, so within a run the loop
 	// carries only the count from token to token: it writes by index, and
 	// the table, the dictionary and the keys stay put.
 	for j := 0; j < len(spans); {
-		dict, keys := p.room(distinct)
-		slots, gen, shift := in.slots, in.gen, in.shift
+		slots, dict, keys, gen, shift := in.slots, in.dict, in.keys, in.gen, in.shift
 	run:
 		for ; j < len(spans); j++ {
 			s := spans[j]
@@ -206,9 +193,9 @@ func (p *Pipeline) internSpans(block []byte) {
 			}
 		}
 		if 2*distinct > len(slots) {
-			in.keys = keys[:distinct]
-			in.grow()
+			in.grow(distinct)
 		}
 	}
-	p.ids, p.dict, in.keys = ids, p.dict[:distinct], in.keys[:distinct]
+	p.ids = ids
+	return distinct
 }

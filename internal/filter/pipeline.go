@@ -87,14 +87,14 @@ type Pipeline struct {
 	kept     uint64
 
 	// What the last call found, in buffers every call reuses: each line's
-	// mask and the kept lines (evaluating); each token's span, its id,
-	// each id's span and each line's ends (Dictionary); each id's table row
-	// or -1 (FilterTokenized). Valid until the pipeline's next call.
+	// mask and the kept lines (evaluating); each token's span, its id and
+	// each line's ends (Dictionary; the intern table holds each id's
+	// span); each id's table row or -1 (FilterTokenized). Valid until the
+	// pipeline's next call.
 	masks     []SetMask
 	keptLines [][]byte
 	spans     []Span
 	ids       []uint16
-	dict      []Span
 	ends      []lineEnd
 	rows      []int32
 	intern    interner

@@ -81,8 +81,7 @@ func (p *Pipeline) Dictionary(block []byte) (dict []Span, lines int) {
 	p.spans, p.ends = p.spans[:0], p.ends[:0]
 	p.walk(block, true)
 	p.intern.next()
-	p.internSpans(block)
-	return p.dict, len(p.ends)
+	return p.intern.dict[:p.internSpans(block)], len(p.ends)
 }
 
 // Tokenize runs the pipeline's tokenizer stage over a newline-separated
@@ -94,13 +93,13 @@ func (p *Pipeline) Dictionary(block []byte) (dict []Span, lines int) {
 // so a miss-path Tokenize followed by FilterTokenized is stat-identical to
 // FilterBlock over the same text.
 func (p *Pipeline) Tokenize(block []byte) *TokenizedBlock {
-	p.Dictionary(block)
+	dict, _ := p.Dictionary(block)
 	// Right-sized copies out of the reused buffers: these live as long as
 	// the page stays cached, and the cache is charged their capacity.
 	return &TokenizedBlock{
 		Block: block,
 		Words: append([]uint16(nil), p.ids...),
-		dict:  append([]Span(nil), p.dict...),
+		dict:  append([]Span(nil), dict...),
 		lines: append([]lineEnd(nil), p.ends...),
 	}
 }

@@ -69,7 +69,7 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 		ingestCompressSec: reg.Counter("mithrilog_ingest_compress_seconds_total",
 			"Host wall time spent in LZAH compression."),
 		ingestIndexSec: reg.Counter("mithrilog_ingest_index_seconds_total",
-			"Host wall time spent inserting tokens into the inverted index."),
+			"Host wall time in the page indexer: the page dictionary, then inserting its tokens into the inverted index."),
 		flushes: reg.Counter("mithrilog_engine_flushes_total",
 			"Explicit flush operations (Flush, Snapshot, SealSegments, WriteSegments, Export); the seal a query runs over pending lines is not one."),
 		indexMemoryBytes: reg.Gauge("mithrilog_index_memory_bytes",

@@ -27,19 +27,15 @@ import (
 //     modify it afterwards. Put after a failed read or decompress must not
 //     happen — the cache only ever holds successfully decoded pages, so a
 //     device fault surfaces to exactly the query that issued the read.
-//   - InvalidateAll empties the cache. The engine calls it on every
-//     explicit flush boundary (Flush, TakeSnapshot and the persistence
-//     calls that flush): data pages are append-only, so cached pages
-//     cannot go stale through ingest alone, but an explicit flush is the
-//     point where callers may observe (and tests may mutate) storage, and
-//     a conservative drop keeps every downstream read coherent with the
-//     device. The seal a query runs over pending lines only appends pages,
-//     so it keeps the cache.
+//
+// Coherence rests on one rule: a sealed data page never changes. Pages
+// are only appended, each under a fresh ID, so an entry can never go
+// stale, and nothing the engine does (ingest, a query-time seal, Flush, a
+// snapshot, a save) drops one.
 //
 // All methods must be safe for concurrent use. internal/sched provides the
 // byte-bounded LRU implementation; a nil PageCache disables caching.
 type PageCache interface {
 	Get(id storage.PageID) (*filter.TokenizedBlock, bool)
 	Put(id storage.PageID, tb *filter.TokenizedBlock)
-	InvalidateAll()
 }

@@ -55,8 +55,8 @@ type Config struct {
 	// registry between engines merges their counters.
 	Metrics *obs.Registry
 	// PageCache, when non-nil, caches decompressed data pages across
-	// queries on the accelerated scan path and is invalidated on every
-	// flush boundary. internal/sched provides the LRU implementation.
+	// queries on the accelerated scan path. internal/sched provides the
+	// LRU implementation.
 	PageCache PageCache
 }
 
@@ -350,13 +350,6 @@ func (e *Engine) flushLocked() error {
 	if err := e.ix.Flush(); err != nil {
 		return err
 	}
-	// Flush is the visibility boundary for queries, so it is also the cache
-	// coherence point: drop every cached decompressed page. Data pages are
-	// append-only, so this is conservative, but it guarantees no query ever
-	// observes a stale page even if storage is rewritten (repair).
-	if e.cache != nil {
-		e.cache.InvalidateAll()
-	}
 	e.met.flushes.Inc()
 	e.met.indexMemoryBytes.Set(float64(e.ix.MemoryFootprint()))
 	return nil
@@ -371,9 +364,7 @@ func (e *Engine) flushLocked() error {
 // The seal makes buffered lines visible to a query by writing them into
 // data pages, the last possibly underfull, and indexing them. It is not a
 // Flush: the index keeps its bucket buffers in memory, where Lookup reads
-// them first, and the page cache keeps its pages, since data pages are
-// append-only and keyed by ID, so a new page cannot make a cached one
-// stale.
+// them first.
 func (e *Engine) sealPending(sp *obs.Span) error {
 	e.mu.RLock()
 	pending := len(e.pending) > 0

@@ -22,11 +22,10 @@ import (
 // Entries are whole tokenized pages keyed by storage.PageID. Eviction is
 // strict LRU by total resident bytes (the capacity of the text, token-id,
 // dictionary and line-end arrays; see filter.TokenizedBlock.MemSize).
-// InvalidateAll (called by the engine at every explicit flush boundary,
-// not by the seal a query runs over pending lines) empties the cache. All
-// methods are safe for concurrent use; Get returns the cached block
-// itself, which callers must treat as read-only (the engine's scan path
-// only reads).
+// Nothing is ever invalidated: a sealed data page never changes, so an
+// entry leaves the cache only by eviction. All methods are safe for
+// concurrent use; Get returns the cached block itself, which callers must
+// treat as read-only (the engine's scan path only reads).
 type PageCache struct {
 	mu       sync.Mutex
 	maxBytes int64 // immutable after New (read before the lock in Put)
@@ -35,7 +34,7 @@ type PageCache struct {
 	ll    *list.List
 	items map[storage.PageID]*list.Element // guarded by mu
 
-	hits, misses, evictions, invalidations atomic.Uint64
+	hits, misses, evictions atomic.Uint64
 }
 
 type cacheEntry struct {
@@ -110,17 +109,6 @@ func (c *PageCache) evictOldest() {
 	c.evictions.Add(1)
 }
 
-// InvalidateAll empties the cache. The engine calls it on every explicit
-// flush boundary so no query can observe pages inconsistent with storage.
-func (c *PageCache) InvalidateAll() {
-	c.mu.Lock()
-	c.ll.Init()
-	c.items = make(map[storage.PageID]*list.Element)
-	c.curBytes = 0
-	c.mu.Unlock()
-	c.invalidations.Add(1)
-}
-
 // Len reports the number of cached pages.
 func (c *PageCache) Len() int {
 	c.mu.Lock()
@@ -135,10 +123,9 @@ func (c *PageCache) Bytes() int64 {
 	return c.curBytes
 }
 
-// Stats reports the cache's lifetime counters (hits, misses, evictions,
-// invalidations).
-func (c *PageCache) Stats() (hits, misses, evictions, invalidations uint64) {
-	return c.hits.Load(), c.misses.Load(), c.evictions.Load(), c.invalidations.Load()
+// Stats reports the cache's lifetime counters.
+func (c *PageCache) Stats() (hits, misses, evictions uint64) {
+	return c.hits.Load(), c.misses.Load(), c.evictions.Load()
 }
 
 // RegisterMetrics publishes the cache's counters and occupancy gauges into
@@ -156,9 +143,6 @@ func (c *PageCache) RegisterMetrics(reg *obs.Registry) {
 	reg.CounterFunc("mithrilog_cache_evictions_total",
 		"Pages evicted from the decompressed-page cache by the LRU byte bound.",
 		nil, func() float64 { return float64(c.evictions.Load()) })
-	reg.CounterFunc("mithrilog_cache_invalidations_total",
-		"Whole-cache invalidations at explicit flush boundaries.",
-		nil, func() float64 { return float64(c.invalidations.Load()) })
 	reg.GaugeFunc("mithrilog_cache_bytes",
 		"Resident bytes (page text, token ids, token dictionary and line ends, by backing-array capacity) in the page cache.",
 		nil, func() float64 { return float64(c.Bytes()) })

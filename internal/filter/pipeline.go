@@ -202,14 +202,15 @@ func delimiters(v uint64) (nl, all uint64) {
 // walk is the one pass over page text: eight bytes at a time it finds the
 // tokens (maximal runs of bytes other than space, tab and newline) and the
 // lines (newline-separated; a trailing fragment without one is a line) of
-// block, and books every line on the tokenizer array's current unit from
-// its lengths — a token of n bytes is tokenizer.WordsFor(n) datapath words,
-// a line without tokens one marker word — as TokenizeLine would have.
+// block, and counts each line's datapath words: a token of n bytes is
+// tokenizer.WordsFor(n) words, a line without tokens one marker word.
 //
-// Evaluating, it probes each token where it lies, hands line i with its
-// word count to hash filter i mod len(filters), and appends to p.masks and
-// p.keptLines. Recording (Tokenize), it appends to p.spans and p.ends and
-// leaves the hash filters alone.
+// Evaluating, it books every line on the tokenizer array's current unit
+// from its lengths, as TokenizeLine would have, probes each token where it
+// lies, hands line i with its word count to hash filter i mod
+// len(filters), and appends to p.masks and p.keptLines. Recording
+// (Dictionary), it appends to p.spans and p.ends and leaves the array and
+// the hash filters alone.
 //
 //mithrilint:hotpath
 func (p *Pipeline) walk(block []byte, record bool) {
@@ -255,11 +256,11 @@ func (p *Pipeline) walk(block []byte, record bool) {
 			if tokens == 0 {
 				words = 1
 			}
-			p.array.AccountLine(d-lineStart, tokens, words, useful)
 			if record {
 				wordEnd += words
 				p.ends = append(p.ends, lineEnd{tokEnd: uint32(len(p.spans)), wordEnd: uint32(wordEnd), byteEnd: uint32(d)})
 			} else {
+				p.array.AccountLine(d-lineStart, tokens, words, useful)
 				mask := f.endLine(words)
 				p.masks = append(p.masks, mask)
 				p.keepLine(block[lineStart:d], mask)

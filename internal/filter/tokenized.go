@@ -73,7 +73,8 @@ const maxTokenizeBytes = 128 << 10
 // them, and its line count (a trailing fragment without a newline is a
 // line). The spans are the pipeline's own, valid until its next call. The
 // block must be shorter than 128 KiB (maxTokenizeBytes); Dictionary panics
-// otherwise. The tokenizer array's statistics accumulate as in Tokenize.
+// otherwise. It books nothing on the tokenizer array: the ingest-side
+// indexer has no datapath to account.
 func (p *Pipeline) Dictionary(block []byte) (dict []Span, lines int) {
 	if len(block) >= maxTokenizeBytes {
 		panic(fmt.Sprintf("filter: a page dictionary of a %d-byte block; the bound is %d", len(block), maxTokenizeBytes))
@@ -94,6 +95,18 @@ func (p *Pipeline) Dictionary(block []byte) (dict []Span, lines int) {
 // FilterBlock over the same text.
 func (p *Pipeline) Tokenize(block []byte) *TokenizedBlock {
 	dict, _ := p.Dictionary(block)
+	// Book the lines on the tokenizer array as walk books those it
+	// evaluates; Dictionary alone, the ingest indexer's, books nothing.
+	var prev lineEnd
+	lineStart, tok := 0, 0
+	for _, e := range p.ends {
+		var useful uint64
+		for ; tok < int(e.tokEnd); tok++ {
+			useful += uint64(p.spans[tok].Len)
+		}
+		p.array.AccountLine(int(e.byteEnd)-lineStart, uint64(e.tokEnd-prev.tokEnd), uint64(e.wordEnd-prev.wordEnd), useful)
+		prev, lineStart = e, int(e.byteEnd)+1
+	}
 	// Right-sized copies out of the reused buffers: these live as long as
 	// the page stays cached, and the cache is charged their capacity.
 	return &TokenizedBlock{

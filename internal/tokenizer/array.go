@@ -19,7 +19,7 @@ type Array struct {
 	// per-unit ingest cycles — the stall-aware array occupancy.
 	turnCycles uint64
 	turnMax    uint64
-	turnFill   int
+	turnFill   int // lines booked in the current turn: the next line's unit
 }
 
 // NewArray builds an array of n tokenizers at the given per-unit rate.
@@ -41,7 +41,7 @@ func NewArray(n, bytesPerCycle int) *Array {
 //
 //mithrilint:hotpath
 func (a *Array) TokenizeLine(dst []Word, line []byte) []Word {
-	unit := a.units[a.turnFill%len(a.units)]
+	unit := a.units[a.turnFill]
 	before := unit.stats.Cycles
 	dst = unit.TokenizeLine(dst, line)
 	a.account(unit.stats.Cycles - before)
@@ -55,7 +55,7 @@ func (a *Array) TokenizeLine(dst []Word, line []byte) []Word {
 //
 //mithrilint:hotpath
 func (a *Array) AccountLine(lineLen int, tokens, words, useful uint64) {
-	unit := a.units[a.turnFill%len(a.units)]
+	unit := a.units[a.turnFill]
 	a.account(unit.accountLine(lineLen, tokens, words, useful))
 }
 
@@ -93,9 +93,9 @@ func (a *Array) account(cycles uint64) {
 		a.turnMax = cycles
 	}
 	a.turnFill++
-	if a.turnFill%len(a.units) == 0 {
+	if a.turnFill == len(a.units) {
 		hwsim.AddCycles(&a.turnCycles, a.turnMax)
-		a.turnMax = 0
+		a.turnMax, a.turnFill = 0, 0
 	}
 }
 

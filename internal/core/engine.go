@@ -96,8 +96,12 @@ type Engine struct {
 	// decompressors). Pipelines hold a compiled query configuration and
 	// per-query statistics, so concurrent queries must not share them —
 	// exactly as each hardware query owns the pipeline configuration for
-	// its duration.
-	scanPool sync.Pool
+	// its duration. The pool is its own allocation and its New holds only
+	// the scan's settings: the runtime keeps a used pool reachable through
+	// the next collection, so a pool inside the Engine, or a New holding
+	// the Config, would keep a dropped engine and its page cache alive one
+	// collection longer.
+	scanPool *sync.Pool
 
 	// cache is the optional decompressed-page cache (nil disables).
 	cache PageCache
@@ -167,7 +171,8 @@ func newEngine(cfg Config, store *storage.SegmentStore) *Engine {
 		pagePipe:   filter.NewPipeline(cfg.Pipeline),
 		met:        newEngineMetrics(reg),
 	}
-	e.scanPool.New = func() interface{} { return newScanState(cfg) }
+	pipes, pcfg, copts := cfg.System.Pipelines, cfg.Pipeline, cfg.Compression
+	e.scanPool = &sync.Pool{New: func() interface{} { return newScanState(pipes, pcfg, copts) }}
 	storage.RegisterDeviceMetrics(reg, dev)
 	storage.RegisterSegmentMetrics(reg, e.store)
 	hwsim.RegisterSystemMetrics(reg, cfg.System)
@@ -181,11 +186,11 @@ type scanState struct {
 	decs  []*lzah.Codec
 }
 
-func newScanState(cfg Config) *scanState {
+func newScanState(pipes int, pcfg filter.PipelineConfig, copts lzah.Options) *scanState {
 	st := &scanState{}
-	for i := 0; i < cfg.System.Pipelines; i++ {
-		st.pipes = append(st.pipes, filter.NewPipeline(cfg.Pipeline))
-		st.decs = append(st.decs, lzah.NewCodec(cfg.Compression))
+	for i := 0; i < pipes; i++ {
+		st.pipes = append(st.pipes, filter.NewPipeline(pcfg))
+		st.decs = append(st.decs, lzah.NewCodec(copts))
 	}
 	return st
 }

@@ -17,7 +17,7 @@ import (
 // TestRegexStress is TestRouterStress for the regex datapath: concurrent
 // multi-tenant ingest races scattered regex scans on both the
 // literal-factor prefiltered path and the ∅-factor full-scan fallback,
-// with flushes invalidating shard caches mid-stress. CI runs the package
+// with fleet flushes mid-stress. CI runs the package
 // under -race, and the goroutine check at the end demands a leak-free
 // shutdown.
 func TestRegexStress(t *testing.T) {
@@ -99,8 +99,8 @@ func TestRegexStress(t *testing.T) {
 		}(g)
 	}
 
-	// Flushes race the scans, invalidating every shard's page cache while
-	// prefiltered queries are mid-candidate-set.
+	// Flushes race the scans, sealing and indexing every shard's buffered
+	// lines while prefiltered queries are mid-candidate-set.
 	for i := 0; i < 5; i++ {
 		time.Sleep(10 * time.Millisecond)
 		if err := r.Flush(); err != nil && !errors.Is(err, ErrClosed) {

@@ -224,8 +224,8 @@ func TestQueueTimeAccounting(t *testing.T) {
 // readers and a writer (run it under -race): reader invariants are
 // monotonic visibility — a search started after k lines were flushed
 // reports at least k matches, and never more than were ingested by the
-// time it returned — which a stale cached page surviving an ingest-flush
-// invalidation would violate (the final exact-count checks would, too).
+// time it returned — which a stale cached page would violate (the final
+// exact-count checks would, too).
 func TestConcurrentSearchIngestStress(t *testing.T) {
 	const (
 		readers   = 6

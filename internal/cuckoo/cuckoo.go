@@ -153,6 +153,15 @@ func lenBit(n int) uint64 {
 // this before it so much as reads a token's bytes.
 func (t *Table) HasLen(n int) bool { return t.lenMask&lenBit(n) != 0 }
 
+// MayHold reports whether a stored token could be n ≥ 1 bytes long and
+// start with the byte first. It makes LookupBytes's two rejections, so
+// false means LookupBytes would miss any such token: a caller that keeps
+// each token's length and first byte asks this before it reads the
+// token's text.
+func (t *Table) MayHold(n int, first byte) bool {
+	return t.lenMask&lenBit(n) != 0 && t.firstMask&(1<<(first&63)) != 0
+}
+
 // New creates an empty table.
 func New(cfg Config) *Table {
 	cfg = cfg.withDefaults()

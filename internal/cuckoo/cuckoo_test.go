@@ -260,6 +260,43 @@ func TestQuickInsertedAlwaysFound(t *testing.T) {
 	}
 }
 
+// TestMayHoldIsLookupsRejection pins MayHold to LookupBytes: a token of
+// any length 1–70 and any first byte that MayHold rules out misses, and
+// every stored token passes. The stored tokens' first bytes share their
+// low six bits with other bytes ('A' 0x41, 0x01, 0x81, 0xC1), and lengths
+// from 63 up share one length bit; each probe is a stored token of its
+// length with its first byte swapped, so the text matches but for the
+// byte MayHold was asked about.
+func TestMayHoldIsLookupsRejection(t *testing.T) {
+	stored := []string{
+		"A", "Abc", "\x81x", "\xc1" + strings.Repeat("y", 69),
+		"z" + strings.Repeat("w", 63), "\xff-" + strings.Repeat("v", 30), "\x7fq",
+	}
+	tbl := New(Config{Rows: 64, Sets: 2})
+	byLen := map[int]string{}
+	for i, tok := range stored {
+		if err := tbl.Insert(tok, pairsFor(2, i%2, false)); err != nil {
+			t.Fatalf("insert %q: %v", tok, err)
+		}
+		if !tbl.MayHold(len(tok), tok[0]) {
+			t.Errorf("MayHold(%d, %#x) is false for stored %q", len(tok), tok[0], tok)
+		}
+		byLen[len(tok)] = tok
+	}
+	for n := 1; n <= 70; n++ {
+		tail := strings.Repeat("y", n-1)
+		if tok, ok := byLen[n]; ok {
+			tail = tok[1:]
+		}
+		for b := 0; b < 256; b++ {
+			tok := append([]byte{byte(b)}, tail...)
+			if _, _, hit := tbl.LookupBytes(tok); hit && !tbl.MayHold(n, byte(b)) {
+				t.Fatalf("MayHold(%d, %#x) is false, but LookupBytes(%q) hits", n, b, tok)
+			}
+		}
+	}
+}
+
 func TestBitmapOps(t *testing.T) {
 	b := NewBitmap(256)
 	if len(b) != 4 {

@@ -75,4 +75,24 @@ func BenchmarkFilterTokenized(b *testing.B) {
 	}
 }
 
+// BenchmarkFilterTokenizedMiss is the common cost of a page-cache hit:
+// one tokenized Liberty2 page against a query none of its tokens hits,
+// as `NFS OR lustre` misses 88 % of the benchmark's pages.
+func BenchmarkFilterTokenizedMiss(b *testing.B) {
+	page := liberty2Page(b)
+	p := configured(query.MustParse(`NFS OR lustre`))
+	tb := p.Tokenize(page)
+	if kept, err := p.FilterTokenized(tb); err != nil || len(kept) != 0 {
+		b.Fatalf("the page keeps %d lines, err %v; want a miss", len(kept), err)
+	}
+	b.SetBytes(int64(len(page)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.FilterTokenized(tb); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 var benchSink *TokenizedBlock

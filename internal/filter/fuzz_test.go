@@ -122,3 +122,30 @@ func FuzzSpanVsWord(f *testing.F) {
 		checkDict(t, NewPipeline(PipelineConfig{}).Tokenize(block))
 	})
 }
+
+// FuzzWarmMatchesCold is the differential between the two page
+// evaluators at every filter count: for arbitrary block bytes, any query
+// Configure accepts and one to four hash filters, Tokenize and
+// FilterTokenized keep the lines FilterBlock keeps and book the same
+// statistics. See checkWarmVsCold.
+func FuzzWarmMatchesCold(f *testing.F) {
+	for _, block := range []string{
+		"",
+		"\n",
+		"a\n\nb",
+		"RAS KERNEL INFO instruction cache parity error corrected\nno trailing newline RAS",
+		"Abc \x01bc \x81bc \xc1bc\nAbc\n\xc1bc",
+	} {
+		for nf := byte(0); nf < 4; nf++ {
+			f.Add([]byte(block), `(RAS AND NOT a) OR (parity:4)`, nf)
+			f.Add([]byte(block), "NOT b OR \xc1bc", nf)
+		}
+	}
+	f.Fuzz(func(t *testing.T, block []byte, expr string, nf byte) {
+		q, err := query.Parse(expr)
+		if err != nil || len(block) >= maxTokenizeBytes {
+			return
+		}
+		checkWarmVsCold(t, block, q, int(nf%4)+1)
+	})
+}

@@ -26,12 +26,13 @@ type lineEnd struct {
 // The block is dictionary-coded. A page repeats its tokens (a Liberty2
 // page holds about 1,550 tokens and 120 distinct ones), so each token
 // occurrence is a 2-byte page-local id, and a dictionary holds one span
-// of the text per id. A query probes the cuckoo table once per id, not
-// once per occurrence. The hardware would hold padded 16-byte words (4.5
-// bytes per raw byte); the ids, the dictionary and the line ends take
-// about 0.5, so a cached page costs about 1.5 bytes per raw byte
-// (MemSize). A TokenizedBlock is immutable once built and safe to share
-// between concurrent queries.
+// of the text per id, and the first byte of each id's text beside it. A
+// query probes the cuckoo table once per id, not once per occurrence, and
+// reads an id's text only when its length and first byte could match. The
+// hardware would hold padded 16-byte words (4.5 bytes per raw byte); the
+// ids, the dictionary and the line ends take about 0.5, so a cached page
+// costs about 1.5 bytes per raw byte (MemSize). A TokenizedBlock is
+// immutable once built and safe to share between concurrent queries.
 type TokenizedBlock struct {
 	// Block is the decompressed page text; the dictionary's spans index
 	// it and kept lines alias it.
@@ -42,17 +43,18 @@ type TokenizedBlock struct {
 	// equal bytes share an id.
 	Words []uint16
 	dict  []Span // the text of each id
+	lead  []byte // the first byte of each id's text
 	lines []lineEnd
 }
 
 const idBytes, spanBytes, lineEndBytes = 2, 8, 12 // sizes of an id, a Span and a lineEnd
 
 // MemSize is the block's resident footprint: the backing arrays of the
-// text, the token ids, the dictionary and the line ends, by capacity. The
-// page cache budgets against it.
+// text, the token ids, the dictionary, its first bytes and the line ends,
+// by capacity. The page cache budgets against it.
 func (tb *TokenizedBlock) MemSize() int64 {
 	return int64(cap(tb.Block)) + idBytes*int64(cap(tb.Words)) +
-		spanBytes*int64(cap(tb.dict)) + lineEndBytes*int64(cap(tb.lines))
+		spanBytes*int64(cap(tb.dict)) + int64(cap(tb.lead)) + lineEndBytes*int64(cap(tb.lines))
 }
 
 // Lines reports the number of lines in the block.
@@ -107,12 +109,17 @@ func (p *Pipeline) Tokenize(block []byte) *TokenizedBlock {
 		p.array.AccountLine(int(e.byteEnd)-lineStart, uint64(e.tokEnd-prev.tokEnd), uint64(e.wordEnd-prev.wordEnd), useful)
 		prev, lineStart = e, int(e.byteEnd)+1
 	}
+	lead := make([]byte, len(dict))
+	for id, s := range dict {
+		lead[id] = block[s.Off]
+	}
 	// Right-sized copies out of the reused buffers: these live as long as
 	// the page stays cached, and the cache is charged their capacity.
 	return &TokenizedBlock{
 		Block: block,
 		Words: append([]uint16(nil), p.ids...),
 		dict:  append([]Span(nil), dict...),
+		lead:  lead,
 		lines: append([]lineEnd(nil), p.ends...),
 	}
 }
@@ -122,10 +129,16 @@ func (p *Pipeline) Tokenize(block []byte) *TokenizedBlock {
 // is valid until the pipeline's next call), exactly as FilterBlock would
 // for the same text: the same round-robin hash-filter assignment,
 // verdicts, and line/byte/word accounting. Only the tokenizer array is
-// bypassed — the tokens were found when the block entered the cache. The
-// cuckoo table is probed once per dictionary entry, and each occurrence
-// folds its id's row, if any, into its line's filter; a page on which no
-// entry hits skips the occurrences altogether.
+// bypassed — the tokens were found when the block entered the cache.
+//
+// The cuckoo table is probed once per dictionary entry, and only for an
+// entry whose length and first byte it may hold (cuckoo.Table.MayHold):
+// the page text is read for nothing else. Each occurrence folds its id's
+// row, if any, into its line's filter; a page on which no entry hits
+// skips the occurrences altogether. What is the same for every line —
+// the line and byte counts, and each filter's line count — is booked once
+// per page, and a line on which no row fired takes its filter's idle
+// verdict without the bitmap compare.
 //
 //mithrilint:hotpath
 func (p *Pipeline) FilterTokenized(tb *TokenizedBlock) ([][]byte, error) {
@@ -133,29 +146,57 @@ func (p *Pipeline) FilterTokenized(tb *TokenizedBlock) ([][]byte, error) {
 		return nil, errNotConfigured
 	}
 	rows, hit := p.rows[:0], false
-	for _, s := range tb.dict {
+	for id, s := range tb.dict {
 		row := int32(-1)
-		if r, _, ok := p.table.LookupBytes(tb.Block[s.Off : s.Off+s.Len]); ok {
-			row, hit = int32(r), true
+		if p.table.MayHold(int(s.Len), tb.lead[id]) {
+			if r, _, ok := p.table.LookupBytes(tb.Block[s.Off : s.Off+s.Len]); ok {
+				row, hit = int32(r), true
+			}
 		}
 		rows = append(rows, row)
 	}
 	p.rows = rows
 	p.keptLines = p.keptLines[:0]
+
+	// Line i goes to filter i mod nf, so filter k takes ⌈(n−k)/nf⌉ lines;
+	// the lines' text is the block up to the last line's end less the n−1
+	// newlines between them.
+	n, nf := len(tb.lines), len(p.filters)
+	if n == 0 {
+		return p.keptLines, nil
+	}
+	p.lines += uint64(n)
+	p.rawBytes += uint64(tb.lines[n-1].byteEnd) - uint64(n-1)
+	for k, f := range p.filters {
+		f.lines += uint64((n - k + nf - 1) / nf)
+	}
 	var prev lineEnd
-	lineStart := uint32(0)
-	for i, end := range tb.lines {
-		f := p.filters[i%len(p.filters)]
+	lineStart, k := uint32(0), 0
+	for _, end := range tb.lines {
+		f := p.filters[k]
+		f.words += uint64(end.wordEnd - prev.wordEnd)
+		mask := f.idleMask
 		if hit {
 			for col, id := range tb.Words[prev.tokEnd:end.tokEnd] {
 				if row := rows[id]; row >= 0 {
 					f.evalRow(int(row), uint16(col))
 				}
 			}
+			if f.fired {
+				mask = f.decideMask()
+				f.resetLine()
+			}
 		}
-		p.keepLine(tb.Block[lineStart:end.byteEnd], f.endLine(uint64(end.wordEnd-prev.wordEnd)))
+		if mask != 0 {
+			f.kept++
+			p.kept++
+			p.keptLines = append(p.keptLines, tb.Block[lineStart:end.byteEnd])
+		}
 		lineStart = end.byteEnd + 1
 		prev = end
+		if k++; k == nf {
+			k = 0
+		}
 	}
 	return p.keptLines, nil
 }

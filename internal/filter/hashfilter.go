@@ -11,11 +11,16 @@
 // the words and cycles from the token lengths alone. A page bound for the
 // page cache is tokenized once (Tokenize) into a dictionary-coded
 // TokenizedBlock — a 2-byte page-local id per token, one 8-byte span per
-// distinct token, about 1.5 bytes per raw byte with the text — and a query
-// over it probes each distinct token once (FilterTokenized), where the
-// hardware probes every token. TokenizeLine and FeedTagged remain as the
-// word-for-word model; FuzzSpanVsWord pins both paths to it token for
-// token, verdict for verdict and count for count.
+// distinct token and its first byte, about 1.5 bytes per raw byte with the
+// text — and a query over it probes each distinct token once
+// (FilterTokenized), where the hardware probes every token. It reads a
+// token's text only when the token's length and first byte could match,
+// and books per page what is the same for every line, so a page the query
+// misses costs little more than its word counts. TokenizeLine and
+// FeedTagged remain as the word-for-word model; FuzzSpanVsWord pins both
+// paths to it token for token, verdict for verdict and count for count,
+// and FuzzWarmMatchesCold pins the cached path to the in-place one at one
+// to four hash filters.
 //
 // Per-set match bitmaps let a single pass answer a union of up to
 // cuckoo.MaxSets intersection sets, which the engine uses both for

@@ -24,7 +24,7 @@ type lineEnd struct {
 // tokenization.
 //
 // The block is dictionary-coded. A page repeats its tokens (a Liberty2
-// page holds about 1,550 tokens and 120 distinct ones), so each token
+// page holds about 1,690 tokens and 150 distinct ones), so each token
 // occurrence is a 2-byte page-local id, and a dictionary holds one span
 // of the text per id, and the first byte of each id's text beside it. A
 // query probes the cuckoo table once per id, not once per occurrence, and

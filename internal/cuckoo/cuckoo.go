@@ -159,7 +159,7 @@ func (t *Table) HasLen(n int) bool { return t.lenMask&lenBit(n) != 0 }
 // each token's length and first byte asks this before it reads the
 // token's text.
 func (t *Table) MayHold(n int, first byte) bool {
-	return t.lenMask&lenBit(n) != 0 && t.firstMask&(1<<(first&63)) != 0
+	return t.HasLen(n) && t.firstMask&(1<<(first&63)) != 0
 }
 
 // New creates an empty table.

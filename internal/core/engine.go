@@ -195,9 +195,14 @@ func newScanState(pipes int, pcfg filter.PipelineConfig, copts lzah.Options) *sc
 	return st
 }
 
-// getScanState draws a scan state from the pool; putScanState returns it.
-func (e *Engine) getScanState() *scanState   { return e.scanPool.Get().(*scanState) }
-func (e *Engine) putScanState(st *scanState) { e.scanPool.Put(st) }
+// withScanState lends fn a pooled scan state and takes it back on every path.
+// guardedby assumes no lock held inside a function literal, so callers read
+// guarded fields before the call and fn only captures them.
+func (e *Engine) withScanState(fn func(*scanState) error) error {
+	st := e.scanPool.Get().(*scanState)
+	defer e.scanPool.Put(st)
+	return fn(st)
+}
 
 // Obs returns the engine's metrics registry; the HTTP layer serves it at
 // GET /metrics and registers its own request metrics into it.
@@ -511,25 +516,20 @@ func (e *Engine) Export(w io.Writer) (ExportResult, error) {
 	if err := e.flushLocked(); err != nil {
 		return res, err
 	}
-	start := time.Now()
-	st := e.getScanState()
-	defer e.putScanState(st)
+	start, pages := time.Now(), e.dataPages
 	// The scan datapath with the sink in the evaluator's place.
 	forward := func(_ int, text []byte, _ *filter.TokenizedBlock) (_, _ [][]byte, err error) {
 		n, err := w.Write(text)
 		res.RawBytes += uint64(n)
 		return nil, nil, err
 	}
-	if _, err := e.scanPages(nil, st, e.dataPages, false, 0, scanStrategy{link: storage.Internal, workers: 1, eval: forward}); err != nil {
+	if err := e.withScanState(func(st *scanState) error {
+		_, err := e.scanPages(nil, st, pages, false, 0, scanStrategy{link: storage.Internal, workers: 1, eval: forward})
+		return err
+	}); err != nil {
 		return res, err
 	}
-	internal := e.dev.TransferTime(storage.Internal, e.compBytes)
-	external := e.dev.TransferTime(storage.External, res.RawBytes)
-	if internal > external {
-		res.SimElapsed = internal
-	} else {
-		res.SimElapsed = external
-	}
+	res.SimElapsed = max(e.dev.TransferTime(storage.Internal, e.compBytes), e.dev.TransferTime(storage.External, res.RawBytes))
 	res.WallElapsed = time.Since(start)
 	return res, nil
 }

@@ -131,11 +131,7 @@ func (e *Engine) SearchRegexOpts(pattern string, opts RegexOptions) (RegexResult
 		return res, ErrNothingIngested
 	}
 	res.TotalPages = len(e.dataPages)
-	st := e.getScanState()
-	defer e.putScanState(st)
 	candidates := e.dataPages
-	var strategy scanStrategy
-	lineFilter := false
 	if usable {
 		// The index-accelerated datapath: plan the factor query into
 		// candidate pages, stream them through the decompress + tokenize +
@@ -148,27 +144,36 @@ func (e *Engine) SearchRegexOpts(pattern string, opts RegexOptions) (RegexResult
 		if candidates, res.IndexTime, _, err = e.plan(fq, SearchOptions{}); err != nil {
 			return res, err
 		}
-		survivors := allLines()
-		if lineFilter = st.pipes[0].Configure(fq) == nil; lineFilter {
-			survivors = cuckooEval(st)
-		}
-		strategy = scanStrategy{link: storage.Internal, cache: e.cache, workers: 1, returnVerified: true, eval: verifyEval(survivors, re.Match)}
-	} else {
-		// Without usable factors every page crosses the external link (§3
-		// raw-page forwarding) and the host NFA sees every line.
-		strategy = scanStrategy{link: storage.External, cache: e.cache, workers: 1, eval: verifyEval(allLines(), re.Match)}
 	}
 	res.CandidatePages = len(candidates)
-	tot, err := e.scanPages(opts.Ctx, st, candidates, opts.CollectLines, opts.Limit, strategy)
-	if err != nil {
-		return res, err
-	}
-	res.Matches, res.Lines, res.CachedPages, res.VerifiedLines = tot.matches, tot.lines, tot.cachedPages, tot.verified
-	res.ScannedRawBytes, res.ScannedCompBytes, res.ReturnedBytes = tot.rawBytes, tot.compBytes, tot.retBytes
-	if lineFilter {
-		if cycles := st.pipes[0].Stats().Cycles; cycles > 0 {
-			res.FilterTime = hwsim.CyclesToDuration(cycles, e.cfg.System.ClockHz)
+	if err := e.withScanState(func(st *scanState) error {
+		var strategy scanStrategy
+		lineFilter := false
+		if usable {
+			survivors := allLines()
+			if lineFilter = st.pipes[0].Configure(fq) == nil; lineFilter {
+				survivors = cuckooEval(st)
+			}
+			strategy = scanStrategy{link: storage.Internal, cache: e.cache, workers: 1, returnVerified: true, eval: verifyEval(survivors, re.Match)}
+		} else {
+			// Without usable factors every page crosses the external link
+			// (§3 raw-page forwarding) and the host NFA sees every line.
+			strategy = scanStrategy{link: storage.External, cache: e.cache, workers: 1, eval: verifyEval(allLines(), re.Match)}
 		}
+		tot, err := e.scanPages(opts.Ctx, st, candidates, opts.CollectLines, opts.Limit, strategy)
+		if err != nil {
+			return err
+		}
+		res.Matches, res.Lines, res.CachedPages, res.VerifiedLines = tot.matches, tot.lines, tot.cachedPages, tot.verified
+		res.ScannedRawBytes, res.ScannedCompBytes, res.ReturnedBytes = tot.rawBytes, tot.compBytes, tot.retBytes
+		if lineFilter {
+			if cycles := st.pipes[0].Stats().Cycles; cycles > 0 {
+				res.FilterTime = hwsim.CyclesToDuration(cycles, e.cfg.System.ClockHz)
+			}
+		}
+		return nil
+	}); err != nil {
+		return res, err
 	}
 	e.simulateRegexElapsed(&res)
 	res.WallElapsed = time.Since(start)

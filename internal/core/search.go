@@ -169,53 +169,56 @@ func (e *Engine) Search(q query.Query, opts SearchOptions) (SearchResult, error)
 	// software evaluation.
 	confStart := time.Now()
 	confSpan := sp.StartChild("configure")
-	st := e.getScanState()
-	defer e.putScanState(st)
-	offloaded := true
-	for _, p := range st.pipes {
-		if err := p.Configure(q); err != nil {
-			offloaded = false
-			confSpan.SetAttr("fallbackReason", err.Error())
-			break
+	if err := e.withScanState(func(st *scanState) error {
+		offloaded := true
+		for _, p := range st.pipes {
+			if err := p.Configure(q); err != nil {
+				offloaded = false
+				confSpan.SetAttr("fallbackReason", err.Error())
+				break
+			}
 		}
-	}
-	res.Offloaded = offloaded
-	confSpan.SetAttrBool("offloaded", offloaded)
-	confSpan.End()
-	e.met.stage("configure", time.Since(confStart))
+		res.Offloaded = offloaded
+		confSpan.SetAttrBool("offloaded", offloaded)
+		confSpan.End()
+		e.met.stage("configure", time.Since(confStart))
 
-	scanStart := time.Now()
-	scanSpan := sp.StartChild("page scan")
-	// Offloaded, pages are striped across the near-storage pipelines, each
-	// crossing the internal link to be decompressed and filtered in place.
-	// On fallback they cross the external link and the host evaluates the
-	// reference matcher.
-	var strategy scanStrategy
-	if offloaded {
-		strategy = scanStrategy{link: storage.Internal, cache: e.cache, workers: len(st.pipes), eval: cuckooEval(st)}
-	} else {
-		reference := func(line []byte) bool { return q.Match(string(line)) }
-		strategy = scanStrategy{link: storage.External, workers: 1, eval: verifyEval(allLines(), reference)}
-	}
-	tot, err := e.scanPages(opts.Ctx, st, candidates, opts.CollectLines, opts.Limit, strategy)
-	if err != nil {
+		scanStart := time.Now()
+		scanSpan := sp.StartChild("page scan")
+		// Offloaded, pages are striped across the near-storage pipelines,
+		// each crossing the internal link to be decompressed and filtered
+		// in place. On fallback they cross the external link and the host
+		// evaluates the reference matcher.
+		var strategy scanStrategy
+		if offloaded {
+			strategy = scanStrategy{link: storage.Internal, cache: e.cache, workers: len(st.pipes), eval: cuckooEval(st)}
+		} else {
+			reference := func(line []byte) bool { return q.Match(string(line)) }
+			strategy = scanStrategy{link: storage.External, workers: 1, eval: verifyEval(allLines(), reference)}
+		}
+		tot, err := e.scanPages(opts.Ctx, st, candidates, opts.CollectLines, opts.Limit, strategy)
+		if err != nil {
+			scanSpan.End()
+			return err
+		}
+		res.Matches, res.Lines, res.CachedPages = tot.matches, tot.lines, tot.cachedPages
+		res.ScannedRawBytes, res.ScannedCompBytes, res.ReturnedBytes = tot.rawBytes, tot.compBytes, tot.retBytes
+		if offloaded {
+			pipelineCycles(st, &res)
+		}
+		scanSpan.SetAttrInt("pages", int64(len(candidates)))
+		scanSpan.SetAttrInt("scannedRawBytes", int64(res.ScannedRawBytes))
+		scanSpan.SetAttrInt("matches", int64(res.Matches))
 		scanSpan.End()
+		e.met.stage("scan", time.Since(scanStart))
+		return nil
+	}); err != nil {
 		return res, err
 	}
-	res.Matches, res.Lines, res.CachedPages = tot.matches, tot.lines, tot.cachedPages
-	res.ScannedRawBytes, res.ScannedCompBytes, res.ReturnedBytes = tot.rawBytes, tot.compBytes, tot.retBytes
-	if offloaded {
-		pipelineCycles(st, &res)
-	}
-	scanSpan.SetAttrInt("pages", int64(len(candidates)))
-	scanSpan.SetAttrInt("scannedRawBytes", int64(res.ScannedRawBytes))
-	scanSpan.SetAttrInt("matches", int64(res.Matches))
-	scanSpan.End()
-	e.met.stage("scan", time.Since(scanStart))
 
-	res.SimElapsed = e.simulateElapsed(&res, offloaded)
+	res.SimElapsed = e.simulateElapsed(&res)
 	res.WallElapsed = time.Since(start)
-	sp.SetAttrBool("offloaded", offloaded)
+	sp.SetAttrBool("offloaded", res.Offloaded)
 	sp.SetAttrInt("matches", int64(res.Matches))
 	sp.SetAttrInt("simElapsedNs", res.SimElapsed.Nanoseconds())
 	sp.SetAttrInt("simStreamNs", res.StreamTime.Nanoseconds())
@@ -377,8 +380,8 @@ func pipelineCycles(st *scanState, res *SearchResult) {
 // the slower of (a) streaming compressed pages over the appropriate link
 // and (b) the filter pipelines' cycle time, then returning matches to the
 // host over the external link.
-func (e *Engine) simulateElapsed(res *SearchResult, offloaded bool) time.Duration {
-	if offloaded {
+func (e *Engine) simulateElapsed(res *SearchResult) time.Duration {
+	if res.Offloaded {
 		res.StreamTime = e.dev.TransferTime(storage.Internal, res.ScannedCompBytes)
 		sys := e.cfg.System
 		if res.MaxPipelineCycles > 0 {

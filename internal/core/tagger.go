@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"mithrilog/internal/cuckoo"
 	"mithrilog/internal/filter"
 	"mithrilog/internal/hwsim"
 	"mithrilog/internal/query"
@@ -57,7 +58,7 @@ func (e *Engine) NewTagger(templateQueries []query.Query) (*Tagger, error) {
 	}
 	capacity := e.cfg.Pipeline.Table.Sets
 	if capacity <= 0 {
-		capacity = 8
+		capacity = cuckoo.DefaultSets
 	}
 	t := &Tagger{engine: e}
 	var group query.Query
@@ -111,58 +112,56 @@ func (t *Tagger) Run(collectTags bool) (TagResult, error) {
 	var tags [][]int
 	var simTotal time.Duration
 	masks := make([]filter.SetMask, 0, 4096)
-	scan := e.getScanState()
-	defer e.putScanState(scan)
-	for gi, group := range t.groups {
-		pipe := scan.pipes[0]
-		if err := pipe.Configure(group); err != nil {
-			return res, fmt.Errorf("core: tagging pass %d: %w", gi, err)
-		}
-		lineNo := 0
-		// One pass of the scan datapath with the per-set match masks in
-		// the evaluator's place.
-		tagPage := func(_ int, text []byte, _ *filter.TokenizedBlock) (_, _ [][]byte, err error) {
-			if masks, err = pipe.TagBlock(masks[:0], text); err != nil {
-				return nil, nil, err
+	pages, stream := e.dataPages, e.dev.TransferTime(storage.Internal, e.compBytes)
+	if err := e.withScanState(func(scan *scanState) error {
+		for gi, group := range t.groups {
+			pipe := scan.pipes[0]
+			if err := pipe.Configure(group); err != nil {
+				return fmt.Errorf("core: tagging pass %d: %w", gi, err)
 			}
-			for _, mask := range masks {
-				if gi == 0 {
-					matchedPerLine = append(matchedPerLine, 0)
-					if collectTags {
-						tags = append(tags, nil)
-					}
+			lineNo := 0
+			// One pass of the scan datapath with the per-set match masks in
+			// the evaluator's place.
+			tagPage := func(_ int, text []byte, _ *filter.TokenizedBlock) (_, _ [][]byte, err error) {
+				if masks, err = pipe.TagBlock(masks[:0], text); err != nil {
+					return nil, nil, err
 				}
-				if mask != 0 {
-					for si := 0; si < len(group.Sets); si++ {
-						if mask.Has(si) {
-							tid := t.ids[gi][si]
-							res.Counts[tid]++
-							matchedPerLine[lineNo]++
-							if collectTags {
-								tags[lineNo] = append(tags[lineNo], tid)
+				for _, mask := range masks {
+					if gi == 0 {
+						matchedPerLine = append(matchedPerLine, 0)
+						if collectTags {
+							tags = append(tags, nil)
+						}
+					}
+					if mask != 0 {
+						for si := 0; si < len(group.Sets); si++ {
+							if mask.Has(si) {
+								tid := t.ids[gi][si]
+								res.Counts[tid]++
+								matchedPerLine[lineNo]++
+								if collectTags {
+									tags[lineNo] = append(tags[lineNo], tid)
+								}
 							}
 						}
 					}
+					lineNo++
 				}
-				lineNo++
+				return nil, nil, nil
 			}
-			return nil, nil, nil
+			if _, err := e.scanPages(nil, scan, pages, false, 0, scanStrategy{link: storage.Internal, workers: 1, eval: tagPage}); err != nil {
+				return err
+			}
+			// Simulated pass time: stream all compressed pages at internal
+			// bandwidth, bounded below by the pipelines' cycle time (the one
+			// functional pipeline's work divides across the hardware's four).
+			st := pipe.Stats()
+			perPipeCycles := st.Cycles / uint64(len(scan.pipes))
+			simTotal += max(hwsim.CyclesToDuration(perPipeCycles, e.cfg.System.ClockHz), stream)
 		}
-		if _, err := e.scanPages(nil, scan, e.dataPages, false, 0, scanStrategy{link: storage.Internal, workers: 1, eval: tagPage}); err != nil {
-			return res, err
-		}
-		// Simulated pass time: stream all compressed pages at internal
-		// bandwidth, bounded below by the pipelines' cycle time (the one
-		// functional pipeline's work divides across the hardware's four).
-		st := pipe.Stats()
-		perPipeCycles := st.Cycles / uint64(len(scan.pipes))
-		filterTime := hwsim.CyclesToDuration(perPipeCycles, e.cfg.System.ClockHz)
-		stream := e.dev.TransferTime(storage.Internal, e.compBytes)
-		if filterTime > stream {
-			simTotal += filterTime
-		} else {
-			simTotal += stream
-		}
+		return nil
+	}); err != nil {
+		return res, err
 	}
 	res.Lines = uint64(len(matchedPerLine))
 	for _, n := range matchedPerLine {

@@ -17,9 +17,10 @@
 // batched LookupBatch — allocate nothing (guarded by
 // TestLookupBatchZeroAllocs and the filter's AllocsPerRun pins; timed by
 // the benchmark's cuckoo.lookup_ns and cuckoo.lookup_batch_ns); only query
-// compilation allocates. Lookups are also hwpure: results and any
-// cycle-relevant behavior depend only on the table contents and the probed
-// bytes, never on wall clock, randomness, or map iteration order.
+// compilation allocates. Lookup results depend only on the table contents
+// and the probed bytes, never on wall clock, randomness, or map iteration
+// order; core's TestScanGolden and the experiment ledger golden
+// (cmd/experiments TestLedgerGolden) pin the cycle counts built on them.
 package cuckoo
 
 import (

@@ -1,8 +1,8 @@
 package lint
 
-// This file is the interprocedural layer under the v3 analyzers
-// (poollife, guardedby, hotalloc): a whole-module static call graph with
-// the function-declaration index the analyzers share. Dispatch is static
+// This file is the interprocedural layer under guardedby, hotalloc and
+// shardiso: a whole-module static call graph with the
+// function-declaration index the analyzers share. Dispatch is static
 // only — direct calls and method calls resolved by go/types
 // (info.Uses[sel.Sel]); calls through function values, interfaces, or
 // reflection produce no edges. That is the same deliberate conservatism

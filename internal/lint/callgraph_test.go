@@ -118,10 +118,10 @@ func TestGuardedEntryFixpoint(t *testing.T) {
 	}
 }
 
-// TestEscapeKinds pins the parameter-escape summary poollife and
-// shardiso share, over one function per escape shape in poollife/a.
+// TestEscapeKinds pins the parameter-escape summary shardiso reads, over
+// one function per escape shape in paramescape/a.
 func TestEscapeKinds(t *testing.T) {
-	_, prog, err := fixtures(t).LoadFixture("poollife/a")
+	_, prog, err := fixtures(t).LoadFixture("paramescape/a")
 	if err != nil {
 		t.Fatalf("loading fixture: %v", err)
 	}
@@ -132,28 +132,28 @@ func TestEscapeKinds(t *testing.T) {
 		arg  int
 		want bool
 	}{
-		{"poollife/a.ret", 0, true},
-		{"poollife/a.store", 0, true},
-		{"poollife/a.fieldStore", 0, false}, // written through, never retained
-		{"poollife/a.fieldStore", 1, true},
-		{"poollife/a.insert", 0, true},
-		{"poollife/a.sender", 0, true},
-		{"poollife/a.sender", 1, false}, // the channel itself stays put
-		{"poollife/a.literal", 0, true},
-		{"poollife/a.spawn", 0, true},
+		{"paramescape/a.ret", 0, true},
+		{"paramescape/a.store", 0, true},
+		{"paramescape/a.fieldStore", 0, false}, // written through, never retained
+		{"paramescape/a.fieldStore", 1, true},
+		{"paramescape/a.insert", 0, true},
+		{"paramescape/a.sender", 0, true},
+		{"paramescape/a.sender", 1, false}, // the channel itself stays put
+		{"paramescape/a.literal", 0, true},
+		{"paramescape/a.spawn", 0, true},
 		// A callee outside the module proves nothing.
-		{"poollife/a.mystery", 0, false},
+		{"paramescape/a.mystery", 0, false},
 		// chain has no escape syntax of its own: the fact arrives
 		// bottom-up from store through the call graph.
-		{"poollife/a.chain", 0, true},
-		{"poollife/a.reads", 0, false},
-		{"poollife/a.closure", 0, true},
+		{"paramescape/a.chain", 0, true},
+		{"paramescape/a.reads", 0, false},
+		{"paramescape/a.closure", 0, true},
 		// Unknown functions have no summary: no escape, no panic.
-		{"poollife/a.nosuch", 0, false},
+		{"paramescape/a.nosuch", 0, false},
 		// Argument indexes past the parameter list clamp to the
 		// variadic tail slot instead of crashing.
-		{"poollife/a.ret", 5, true},
-		{"poollife/a.reads", 5, false},
+		{"paramescape/a.ret", 5, true},
+		{"paramescape/a.reads", 5, false},
 	}
 	for _, tc := range cases {
 		if got := argEscapes(pe, tc.key, tc.arg); got != tc.want {

@@ -1,13 +1,13 @@
 package lint
 
-// This file is the control-flow-graph layer under unitcheck's dataflow
-// and poollife's release-path check. It builds a statement-level CFG for
-// one function body from the AST alone — no types needed — decomposing
-// structured control flow (if/for/range/switch/select, labeled
-// break/continue, goto, fallthrough) into basic blocks connected by
-// successor edges. Each block carries the statements and condition
-// expressions evaluated in it, in evaluation order, so a forward dataflow
-// (dataflow.go) can replay them.
+// This file is the control-flow-graph layer under unitcheck's dataflow.
+// It builds a statement-level CFG for one function body from the AST
+// alone — no types needed — decomposing structured control flow
+// (if/for/range/switch/select, labeled break/continue, goto,
+// fallthrough) into basic blocks connected by successor edges. Each
+// block carries the statements and condition expressions evaluated in
+// it, in evaluation order, so a forward dataflow (dataflow.go) can
+// replay them.
 //
 // Terminators: return, panic(...), os.Exit, runtime.Goexit, and
 // log.Fatal* end a block with an edge to the synthetic exit block. A

@@ -11,20 +11,17 @@
 //	ctxflow       no context.Background()/TODO() below the facade on hot paths
 //	errdrop       codec/device/index/cuckoo errors are never discarded
 //	unitcheck     units mix only via hwsim helpers; paper constants defined only in hwsim
-//	hwpure        hwsim and the cycle-accounting paths stay deterministic
-//	poollife      sync.Pool objects released on every path; no alias outlives release
 //	guardedby     `// guarded by <mu>` fields touched only with the mutex provably held
 //	hotalloc      //mithrilint:hotpath functions are statically allocation-free
 //	shardiso      `// shard-owned` state never escapes across the router boundary
 //	persistver    persisted streams write one canonical magic/version and check it on decode
 //
 // Several are built on a statement-level control-flow graph (cfg.go) and
-// a forward-dataflow fixpoint solver (dataflow.go); poollife, guardedby,
-// hotalloc and shardiso add a whole-module static call graph
-// (callgraph.go) with bottom-up per-function summaries — locks held at
-// entry, escaping parameters (one summary, shared by poollife and
-// shardiso), same-package reachability — all stdlib-only like the rest
-// of the suite.
+// a forward-dataflow fixpoint solver (dataflow.go); guardedby, hotalloc
+// and shardiso add a whole-module static call graph (callgraph.go) with
+// bottom-up per-function summaries — locks held at entry, escaping
+// parameters (paramescape.go), same-package reachability — all
+// stdlib-only like the rest of the suite.
 //
 // See LINT.md at the repository root for the rationale behind each
 // invariant and the suppression syntax. The cmd/mithrilint driver runs the
@@ -64,8 +61,6 @@ func Analyzers() []*Analyzer {
 		CtxFlowAnalyzer,
 		ErrDropAnalyzer,
 		UnitCheckAnalyzer,
-		HwPureAnalyzer,
-		PoolLifeAnalyzer,
 		GuardedByAnalyzer,
 		HotAllocAnalyzer,
 		ShardIsoAnalyzer,

@@ -75,14 +75,6 @@ func TestPaperConstFixture(t *testing.T) {
 	checkWants(t, pkgPath, diags, wants)
 }
 
-func TestHwPureFixture(t *testing.T) {
-	RunFixture(t, fixtures(t), HwPureAnalyzer, "hwpure/internal/hwsim")
-}
-
-func TestPoolLifeFixture(t *testing.T) {
-	RunFixture(t, fixtures(t), PoolLifeAnalyzer, "poollife/a")
-}
-
 func TestGuardedByFixture(t *testing.T) {
 	RunFixture(t, fixtures(t), GuardedByAnalyzer, "guardedby/a")
 }
@@ -189,8 +181,6 @@ func TestFixtureExclusivity(t *testing.T) {
 		{"ctxflow/internal/sched", "ctxflow"},
 		{"errdrop/a", "errdrop"},
 		{"unitcheck/internal/core", "unitcheck"},
-		{"hwpure/internal/hwsim", "hwpure"},
-		{"poollife/a", "poollife"},
 		{"guardedby/a", "guardedby"},
 		{"hotalloc/a", "hotalloc"},
 		{"shardiso/a", "shardiso"},

@@ -1,7 +1,10 @@
 package lint
 
 import (
+	"os"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -27,5 +30,31 @@ func TestRepoInvariantsClean(t *testing.T) {
 	diags := RunWithOptions(prog, pkgs, Analyzers(), RunOptions{StrictIgnores: true})
 	for _, d := range diags {
 		t.Errorf("%s", d)
+	}
+}
+
+// TestLintDocMatchesSuite holds LINT.md's audit table to the suite: its
+// rows must name exactly the analyzers Analyzers() returns, in reporting
+// order (what `mithrilint -list` prints), so an analyzer added or retired
+// without its row fails here.
+func TestLintDocMatchesSuite(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "LINT.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, audit, ok := strings.Cut(string(doc), "\n## Audit")
+	if !ok {
+		t.Fatal("LINT.md has no \"## Audit\" section")
+	}
+	audit, _, _ = strings.Cut(audit, "\n## ")
+	var inDoc, inSuite []string
+	for _, m := range regexp.MustCompile("(?m)^\\| `([a-z]+)` \\|").FindAllStringSubmatch(audit, -1) {
+		inDoc = append(inDoc, m[1])
+	}
+	for _, a := range Analyzers() {
+		inSuite = append(inSuite, a.Name)
+	}
+	if got, want := strings.Join(inDoc, " "), strings.Join(inSuite, " "); got != want {
+		t.Errorf("LINT.md audit table rows:\n  %s\nsuite:\n  %s", got, want)
 	}
 }

@@ -18,10 +18,10 @@ package lint
 //     local sync.WaitGroup the same function Waits on (the
 //     scatter-gather join shape), and unbounded otherwise;
 //   - is passed to a module function whose parameter escapes, per the
-//     parameter-escape summary poollife also reads
-//     (moduleParamEscapes). Unknown callees do not report: shardiso
-//     only flags escapes it can prove, so a missing call-graph edge
-//     weakens the proof rather than inventing a finding.
+//     parameter-escape summary (moduleParamEscapes). Unknown callees
+//     do not report: shardiso only flags escapes it can prove, so a
+//     missing call-graph edge weakens the proof rather than inventing a
+//     finding.
 //
 // Method calls on shard-owned values are use, not escape — that is what
 // the references are for. Stores into objects that are themselves

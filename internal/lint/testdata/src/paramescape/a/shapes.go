@@ -1,11 +1,9 @@
+// Package a pins the parameter-escape summary that shardiso reads
+// (TestEscapeKinds): each function exhibits one way a parameter can leave
+// the frame, or one way it stays put.
 package a
 
 import "strconv"
-
-// The functions below pin the parameter-escape summary poollife and
-// shardiso share (TestEscapeKinds): each exhibits one way a parameter
-// can leave the frame, or one way it stays put. None touches a pool, so
-// they add no poollife findings.
 
 type box struct {
 	p *int

@@ -27,9 +27,11 @@
 // Allocation discipline: Compress and Decompress only grow the caller's
 // dst — decoding into an arena with sufficient capacity allocates nothing
 // (guarded by TestDecompressArenaZeroAllocs and the perf harness's LZAH
-// micro leg). The codec is hwpure: output bytes and the DecodeWords cycle
-// account are pure functions of the input block, with the cycle counter
-// maintained only through hwsim's accounting rules (see LINT.md).
+// micro leg). Output bytes and the DecodeWords cycle account are pure
+// functions of the input block, with the cycle counter maintained only
+// through hwsim's accounting rules (see LINT.md). The experiment ledger
+// golden (cmd/experiments TestLedgerGolden) pins the compression rows, and
+// core's TestScanGolden the compressed bytes each scan streams.
 package lzah
 
 import (

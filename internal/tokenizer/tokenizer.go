@@ -19,10 +19,11 @@
 //
 // Allocation discipline: tokenizing a line into a dst slice with grown
 // capacity performs no heap allocation (guarded by
-// TestTokenizeLineZeroAllocs). The tokenize loop also sits
-// inside the hwpure fence — its cycle accounting is a pure function of the
-// input bytes, flowing only through hwsim's accounting API, with no wall
-// clock, randomness, or map iteration on the path (see LINT.md).
+// TestTokenizeLineZeroAllocs). The tokenize loop's cycle accounting is a
+// pure function of the input bytes, flowing only through hwsim's
+// accounting API, with no wall clock, randomness, or map iteration on the
+// path; core's TestScanGolden and the experiment ledger golden
+// (cmd/experiments TestLedgerGolden) pin the cycle counts it produces.
 package tokenizer
 
 import (

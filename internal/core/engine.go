@@ -196,8 +196,8 @@ func newScanState(pipes int, pcfg filter.PipelineConfig, copts lzah.Options) *sc
 }
 
 // withScanState lends fn a pooled scan state and takes it back on every path.
-// guardedby assumes no lock held inside a function literal, so callers read
-// guarded fields before the call and fn only captures them.
+// fn runs on the caller's goroutine before withScanState returns, so it holds
+// whatever lock the caller holds.
 func (e *Engine) withScanState(fn func(*scanState) error) error {
 	st := e.scanPool.Get().(*scanState)
 	defer e.scanPool.Put(st)

@@ -69,14 +69,6 @@ func (h *HashFilter) FeedTagged(w tokenizer.Word) (lineDone bool, mask SetMask) 
 	return false, 0
 }
 
-// Tagged pairs a kept line with its set mask.
-type Tagged struct {
-	// Line aliases the scanned block.
-	Line []byte
-	// Mask has bit i set when intersection set i matched the line.
-	Mask SetMask
-}
-
 // TagBlock evaluates every line of a newline-separated block and appends
 // one SetMask per line to masks, in order — including zero masks for lines
 // that match no set. This is the primitive behind §8's template-ID
@@ -86,20 +78,4 @@ func (p *Pipeline) TagBlock(masks []SetMask, block []byte) ([]SetMask, error) {
 		return nil, err
 	}
 	return append(masks, p.masks...), nil
-}
-
-// FilterBlockTagged is FilterBlock returning, for every kept line, the
-// mask of intersection sets it satisfied. Lines matching no set are
-// filtered out exactly as in FilterBlock.
-func (p *Pipeline) FilterBlockTagged(block []byte) ([]Tagged, error) {
-	if err := p.evalBlock(block); err != nil {
-		return nil, err
-	}
-	out := make([]Tagged, 0, len(p.keptLines))
-	for _, mask := range p.masks {
-		if mask != 0 {
-			out = append(out, Tagged{Line: p.keptLines[len(out)], Mask: mask})
-		}
-	}
-	return out, nil
 }

@@ -51,32 +51,10 @@ func TestTagBlockPerLineMasks(t *testing.T) {
 	}
 }
 
-func TestFilterBlockTaggedKeepsOnlyMatches(t *testing.T) {
-	p := NewPipeline(PipelineConfig{})
-	q := query.MustParse(`(keep1) OR (keep2)`)
-	if err := p.Configure(q); err != nil {
-		t.Fatal(err)
-	}
-	block := []byte("keep1 a\ndrop b\nkeep2 c\nkeep1 keep2 d")
-	tagged, err := p.FilterBlockTagged(block)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tagged) != 3 {
-		t.Fatalf("tagged = %d", len(tagged))
-	}
-	if tagged[0].Mask != 0b01 || tagged[1].Mask != 0b10 || tagged[2].Mask != 0b11 {
-		t.Fatalf("masks: %04b %04b %04b", tagged[0].Mask, tagged[1].Mask, tagged[2].Mask)
-	}
-}
-
 func TestTagBlockUnconfigured(t *testing.T) {
 	p := NewPipeline(PipelineConfig{})
 	if _, err := p.TagBlock(nil, []byte("x")); err == nil {
 		t.Error("unconfigured TagBlock should error")
-	}
-	if _, err := p.FilterBlockTagged([]byte("x")); err == nil {
-		t.Error("unconfigured FilterBlockTagged should error")
 	}
 }
 

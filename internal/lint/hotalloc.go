@@ -65,7 +65,14 @@ func runHotAlloc(pass *Pass) {
 }
 
 type hotFacts struct {
-	viol []gbViolation
+	viol []hotViolation
+}
+
+// hotViolation is one finding, attributed to its package.
+type hotViolation struct {
+	pkg string
+	pos token.Pos
+	msg string
 }
 
 func hasHotpathDirective(fd *ast.FuncDecl) bool {
@@ -126,7 +133,7 @@ func buildHotFacts(prog *Program) *hotFacts {
 			pkg:  pkg,
 			info: pkg.Info,
 			report: func(pos token.Pos, format string, args ...interface{}) {
-				facts.viol = append(facts.viol, gbViolation{
+				facts.viol = append(facts.viol, hotViolation{
 					pkg: pkg.Path,
 					pos: pos,
 					msg: fmt.Sprintf(format, args...) + suffix,

@@ -11,17 +11,15 @@
 //	ctxflow       no context.Background()/TODO() below the facade on hot paths
 //	errdrop       codec/device/index/cuckoo errors are never discarded
 //	unitcheck     units mix only via hwsim helpers; paper constants defined only in hwsim
-//	guardedby     `// guarded by <mu>` fields touched only with the mutex provably held
 //	hotalloc      //mithrilint:hotpath functions are statically allocation-free
 //	shardiso      `// shard-owned` state never escapes across the router boundary
 //	persistver    persisted streams write one canonical magic/version and check it on decode
 //
 // Several are built on a statement-level control-flow graph (cfg.go) and
-// a forward-dataflow fixpoint solver (dataflow.go); guardedby, hotalloc
-// and shardiso add a whole-module static call graph (callgraph.go) with
-// bottom-up per-function summaries — locks held at entry, escaping
-// parameters (paramescape.go), same-package reachability — all
-// stdlib-only like the rest of the suite.
+// a forward-dataflow fixpoint solver (dataflow.go); hotalloc and shardiso
+// add a whole-module static call graph (callgraph.go) with bottom-up
+// per-function summaries — escaping parameters (paramescape.go),
+// same-package reachability — all stdlib-only like the rest of the suite.
 //
 // See LINT.md at the repository root for the rationale behind each
 // invariant and the suppression syntax. The cmd/mithrilint driver runs the
@@ -61,7 +59,6 @@ func Analyzers() []*Analyzer {
 		CtxFlowAnalyzer,
 		ErrDropAnalyzer,
 		UnitCheckAnalyzer,
-		GuardedByAnalyzer,
 		HotAllocAnalyzer,
 		ShardIsoAnalyzer,
 		PersistVerAnalyzer,

@@ -3,19 +3,29 @@ package lint
 import (
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// fixtures builds a loader rooted at this repository with fixture
-// resolution under internal/lint/testdata/src. Tests run with the package
-// directory as the working directory, so the module root is two levels up.
+// fixtureLoader is the one loader every fixture test shares, so each
+// package (the stdlib ones the fixtures import above all) is listed and
+// type-checked once per test binary rather than once per test. It is
+// rooted at this repository with fixture resolution under
+// internal/lint/testdata/src. Tests run with the package directory as the
+// working directory, so the module root is two levels up.
+var fixtureLoader = sync.OnceValues(func() (*Loader, error) {
+	dir, err := filepath.Abs(filepath.Join("..", ".."))
+	return FixtureLoader(dir), err
+})
+
+// fixtures returns the shared fixture loader.
 func fixtures(t *testing.T) *Loader {
 	t.Helper()
-	dir, err := filepath.Abs(filepath.Join("..", ".."))
+	l, err := fixtureLoader()
 	if err != nil {
 		t.Fatalf("resolving module root: %v", err)
 	}
-	return FixtureLoader(dir)
+	return l
 }
 
 func TestCycleAccountFixture(t *testing.T) {
@@ -73,10 +83,6 @@ func TestPaperConstFixture(t *testing.T) {
 		t.Fatalf("%s: no want lines in paperconst.go", pkgPath)
 	}
 	checkWants(t, pkgPath, diags, wants)
-}
-
-func TestGuardedByFixture(t *testing.T) {
-	RunFixture(t, fixtures(t), GuardedByAnalyzer, "guardedby/a")
 }
 
 func TestHotAllocFixture(t *testing.T) {
@@ -181,7 +187,6 @@ func TestFixtureExclusivity(t *testing.T) {
 		{"ctxflow/internal/sched", "ctxflow"},
 		{"errdrop/a", "errdrop"},
 		{"unitcheck/internal/core", "unitcheck"},
-		{"guardedby/a", "guardedby"},
 		{"hotalloc/a", "hotalloc"},
 		{"shardiso/a", "shardiso"},
 		{"persistver/a", "persistver"},

@@ -26,8 +26,8 @@ package lint
 // Method calls on shard-owned values are use, not escape — that is what
 // the references are for. Stores into objects that are themselves
 // shard-rooted stay inside the shard. Accesses rooted at an
-// under-construction local (the router's build path) are exempt, like
-// guardedby's constructor exemption.
+// under-construction local (the router's build path) are exempt
+// (constructionLocals).
 
 import (
 	"fmt"
@@ -35,6 +35,7 @@ import (
 	"go/token"
 	"go/types"
 	"regexp"
+	"strings"
 )
 
 var ShardIsoAnalyzer = &Analyzer{
@@ -374,4 +375,54 @@ func (w *shardWalker) checkGoCapture(g *ast.GoStmt) {
 		}
 		return true
 	})
+}
+
+// constructionLocals collects locals assigned from a composite literal,
+// new(T), or a same-package New* constructor anywhere in the body.
+func constructionLocals(info *types.Info, body *ast.BlockStmt, pkg *types.Package) map[*types.Var]bool {
+	out := make(map[*types.Var]bool)
+	ast.Inspect(body, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || len(as.Lhs) != len(as.Rhs) {
+			return true
+		}
+		for i, lhs := range as.Lhs {
+			id, ok := unparen(lhs).(*ast.Ident)
+			if !ok {
+				continue
+			}
+			v, ok := info.Defs[id].(*types.Var)
+			if !ok {
+				v, ok = info.Uses[id].(*types.Var)
+			}
+			if !ok || v == nil || !isConstructionExpr(info, as.Rhs[i], pkg) {
+				continue
+			}
+			out[v] = true
+		}
+		return true
+	})
+	return out
+}
+
+func isConstructionExpr(info *types.Info, e ast.Expr, pkg *types.Package) bool {
+	switch x := unparen(e).(type) {
+	case *ast.CompositeLit:
+		return true
+	case *ast.UnaryExpr:
+		if x.Op == token.AND {
+			_, isLit := unparen(x.X).(*ast.CompositeLit)
+			return isLit
+		}
+	case *ast.CallExpr:
+		if id, ok := unparen(x.Fun).(*ast.Ident); ok && id.Name == "new" {
+			if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
+				return true
+			}
+		}
+		if fn := calleeFunc(info, x); fn != nil && fn.Pkg() == pkg && strings.HasPrefix(fn.Name(), "New") {
+			return true
+		}
+	}
+	return false
 }

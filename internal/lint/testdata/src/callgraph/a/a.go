@@ -1,8 +1,7 @@
 // Package a is the call-graph unit-test fixture: direct edges, mutual
-// recursion, a function whose value is taken (valueUsed), and a
-// lock-then-call chain for the entry-lock fixpoint. It is inspected by
-// callgraph_test.go rather than through `want` markers — the assertions
-// are about graph structure, not diagnostics.
+// recursion, a function no call reaches, and a method chain. It is
+// inspected by callgraph_test.go rather than through `want` markers — the
+// assertions are about graph structure, not diagnostics.
 package a
 
 import "sync"
@@ -21,8 +20,7 @@ var handler = helper
 
 func helper() {}
 
-// S exercises the entry-lock fixpoint: under and leaf are only ever
-// reached with mu held, through one level of indirection.
+// S's methods form a chain: Locked calls under, which calls leaf.
 type S struct {
 	mu sync.Mutex
 }

@@ -77,79 +77,3 @@ func TestTagEndToEnd(t *testing.T) {
 		t.Fatal("sim time missing")
 	}
 }
-
-func TestDetectAnomaliesEndToEnd(t *testing.T) {
-	eng, lib, _ := taggingFixture(t)
-	// 150-line windows give 20 windows, so the 0.9 quantile threshold
-	// leaves headroom above it for the burst window to exceed.
-	anomalies, err := eng.DetectAnomalies(lib, AnomalyOptions{
-		WindowLines: 150,
-		Components:  2,
-		Quantile:    0.9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(anomalies) == 0 {
-		t.Fatal("burst window not flagged")
-	}
-	// The burst lives in lines 1500-1599 => window 5 at 300 lines/window.
-	top := anomalies[0]
-	if top.FirstLine > 1599 || top.LastLine < 1500 {
-		t.Fatalf("top anomaly window %d (lines %d-%d) misses the burst",
-			top.Window, top.FirstLine, top.LastLine)
-	}
-	if top.Score <= 1 {
-		t.Fatalf("score %v", top.Score)
-	}
-}
-
-func TestClusterWindowsEndToEnd(t *testing.T) {
-	eng, lib, _ := taggingFixture(t)
-	assign, err := eng.ClusterWindows(lib, 300, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(assign) != 10 {
-		t.Fatalf("windows = %d", len(assign))
-	}
-	// The burst window should separate from at least one normal window.
-	burst := assign[5]
-	differs := false
-	for i, c := range assign {
-		if i != 5 && c != burst {
-			differs = true
-		}
-	}
-	if !differs {
-		t.Fatal("clustering found no structure")
-	}
-}
-
-func TestDetectAnomaliesEmptyEngine(t *testing.T) {
-	eng := Open(Config{})
-	lines := []string{"a b c", "a b c", "a b c"}
-	lib := ExtractTemplates(lines, TemplateParams{MinSupport: 2})
-	if _, err := eng.DetectAnomalies(lib, AnomalyOptions{}); err == nil {
-		t.Fatal("empty engine should fail")
-	}
-}
-
-func TestDetectSpikesEndToEnd(t *testing.T) {
-	eng, lib, _ := taggingFixture(t)
-	spikes, err := eng.DetectSpikes(lib, 150)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(spikes) == 0 {
-		t.Fatal("burst template not flagged")
-	}
-	top := spikes[0]
-	// The panic burst sits at lines 1500-1599 => window 10 at 150 lines.
-	if top.FirstLine > 1599 || top.LastLine < 1500 {
-		t.Fatalf("top spike window %d (lines %d-%d) misses the burst", top.Window, top.FirstLine, top.LastLine)
-	}
-	if top.Count < 50 {
-		t.Fatalf("spike count %v", top.Count)
-	}
-}

@@ -2,6 +2,7 @@ package mithrilog
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -217,5 +218,62 @@ func TestExportFacade(t *testing.T) {
 	}
 	if n != uint64(len(want)) {
 		t.Fatalf("n = %d, want %d", n, len(want))
+	}
+}
+
+// TestIntersectionSetsBeyondMaskWidth asks for more intersection sets than
+// one 32-bit set mask holds. An offloaded query would lose every set past
+// bit 31, so the 40-set query must fall back to host evaluation and the
+// 40-query batch must take a second pass; both count every match.
+func TestIntersectionSetsBeyondMaskWidth(t *testing.T) {
+	const n = 40
+	eng := Open(Config{IntersectionSets: n})
+	var lines, terms []string
+	var batch []Query
+	for i := 0; i < n; i++ {
+		tok := fmt.Sprintf("alpha%d", i)
+		lines = append(lines, tok+" beta")
+		terms = append(terms, tok)
+		batch = append(batch, MustParseQuery(tok))
+	}
+	if err := eng.IngestLines(lines); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	q := MustParseQuery(strings.Join(terms, " OR "))
+	want := 0
+	for _, l := range lines {
+		if q.Match(l) {
+			want++
+		}
+	}
+	if want != n {
+		t.Fatalf("Query.Match counts %d, want %d", want, n)
+	}
+	for _, noIndex := range []bool{false, true} {
+		res, err := eng.SearchQuery(q, SearchOptions{NoIndex: noIndex})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Matches != want {
+			t.Errorf("NoIndex=%v: %d-set search matches %d, want %d (offloaded=%v)",
+				noIndex, n, res.Matches, want, res.Offloaded)
+		}
+	}
+	br, err := eng.SearchBatch(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for i, m := range br.Matches {
+		if m != 1 {
+			t.Errorf("batch query %d matches %d, want 1", i, m)
+		}
+		total += m
+	}
+	if total != want {
+		t.Errorf("batch counts %d in %d passes, want %d", total, br.Passes, want)
 	}
 }

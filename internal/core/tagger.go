@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"mithrilog/internal/cuckoo"
 	"mithrilog/internal/filter"
 	"mithrilog/internal/hwsim"
 	"mithrilog/internal/query"
@@ -56,10 +55,7 @@ func (e *Engine) NewTagger(templateQueries []query.Query) (*Tagger, error) {
 	if len(templateQueries) == 0 {
 		return nil, fmt.Errorf("core: tagger needs at least one template query")
 	}
-	capacity := e.cfg.Pipeline.Table.Sets
-	if capacity <= 0 {
-		capacity = cuckoo.DefaultSets
-	}
+	capacity := e.cfg.Pipeline.Table.SetCount()
 	t := &Tagger{engine: e}
 	var group query.Query
 	var ids []int

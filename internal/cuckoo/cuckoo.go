@@ -39,6 +39,10 @@ const DefaultRows = 256
 // contain (§4.2.2).
 const DefaultSets = 8
 
+// MaxSets caps Config.Sets. A line's per-set verdicts travel as one
+// 32-bit mask (filter.SetMask), so a set past bit 31 would never match.
+const MaxSets = 32
+
 // DefaultOverflowWords is the capacity, in 16-byte words, of the overflow
 // table for tokens longer than the in-row slot.
 const DefaultOverflowWords = 256
@@ -96,7 +100,7 @@ func (e *Entry) Pairs() []FlagPair { return e.pairs }
 // Config sizes a Table.
 type Config struct {
 	Rows          int // hash table rows (default DefaultRows)
-	Sets          int // flag pairs per entry (default DefaultSets)
+	Sets          int // flag pairs per entry (default DefaultSets, at most MaxSets)
 	OverflowWords int // overflow table capacity in 16-byte words (default DefaultOverflowWords)
 	// MaxEvictions bounds an insertion's displacement chain before
 	// declaring a cycle. Zero selects a bound proportional to table size.
@@ -106,13 +110,23 @@ type Config struct {
 	Seed uint64
 }
 
+// SetCount returns the flag pairs per entry a table built from c has:
+// Sets, defaulted to DefaultSets and capped at MaxSets.
+func (c Config) SetCount() int {
+	switch {
+	case c.Sets <= 0:
+		return DefaultSets
+	case c.Sets > MaxSets:
+		return MaxSets
+	}
+	return c.Sets
+}
+
 func (c Config) withDefaults() Config {
 	if c.Rows <= 0 {
 		c.Rows = DefaultRows
 	}
-	if c.Sets <= 0 {
-		c.Sets = DefaultSets
-	}
+	c.Sets = c.SetCount()
 	if c.OverflowWords <= 0 {
 		c.OverflowWords = DefaultOverflowWords
 	}

@@ -22,9 +22,10 @@
 // and FuzzWarmMatchesCold pins the cached path to the in-place one at one
 // to four hash filters.
 //
-// Per-set match bitmaps let a single pass answer a union of up to
-// cuckoo.MaxSets intersection sets, which the engine uses both for
-// batched query demultiplexing and wire-speed template tagging.
+// Per-set match bitmaps let a single pass answer a union of as many
+// intersection sets as the table has flag pairs, at most cuckoo.MaxSets
+// (the width of a SetMask), which the engine uses both for batched query
+// demultiplexing and wire-speed template tagging.
 //
 // Besides its functional output every pipeline accounts the busy cycles
 // each component would spend on the modeled hardware; PipelineStats

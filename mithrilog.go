@@ -67,7 +67,10 @@ type Config struct {
 	// HashTableRows overrides the cuckoo table rows (default 256).
 	HashTableRows int
 	// IntersectionSets overrides the flag pairs per entry, bounding the
-	// number of intersection sets per offloaded query (default 8).
+	// number of intersection sets per offloaded query (default 8). Values
+	// above 32, the width of a line's set mask, are capped at 32: a query
+	// with more sets runs on the host, and Tag and SearchBatch pack 32
+	// sets per pass.
 	IntersectionSets int
 	// IndexBuckets overrides the inverted index bucket count, per shard
 	// (default 65536/Shards: each shard holds 1/Shards of the data).

@@ -6,11 +6,11 @@ import (
 	"mithrilog/internal/router"
 )
 
-// ErrSharded reports a whole-store pass — SearchBatch, Tag, and the
-// analytics built on them — called on a sharded engine. Those passes need
-// the single-engine layout; every other operation, persistence included,
-// works at every width. On a closed engine they fail with ErrClosed
-// first, like every other operation.
+// ErrSharded reports a whole-store pass — SearchBatch or Tag — called on
+// a sharded engine. Those passes need the single-engine layout; every
+// other operation, persistence included, works at every width. On a
+// closed engine they fail with ErrClosed first, like every other
+// operation.
 var ErrSharded = router.ErrSharded
 
 // WriteSegments writes the engine's sealed-segment stream, the one

@@ -22,47 +22,29 @@ type BatchResult struct {
 }
 
 // SearchBatch evaluates many queries concurrently, sharing accelerator
-// scans: queries are packed into hardware configurations by intersection-
-// set count and demultiplexed per line with the filter's per-set match
-// masks, so N queries cost ceil(totalSets/capacity) scans instead of N.
+// scans: the queries' sets are packed into hardware configurations, and a
+// line counts toward a query when any of its sets' match-mask bits is
+// set, so N queries cost ceil(totalSets/capacity) scans instead of N.
 func (e *Engine) SearchBatch(queries []Query) (BatchResult, error) {
 	var res BatchResult
 	if len(queries) == 0 {
 		return res, fmt.Errorf("mithrilog: empty batch")
 	}
 	start := time.Now()
-	// Flatten every query's sets into single-set pseudo-templates tagged
-	// with their owning query.
-	var sets []query.Query
-	owner := make([]int, 0)
+	qs := make([]query.Query, len(queries))
 	for qi, q := range queries {
 		if err := q.q.Validate(); err != nil {
 			return res, fmt.Errorf("mithrilog: batch query %d: %w", qi, err)
 		}
-		for _, s := range q.q.Sets {
-			sets = append(sets, query.New(s))
-			owner = append(owner, qi)
-		}
+		qs[qi] = q.q
 	}
-	tag, err := e.router.Tag(sets, true)
+	tag, err := e.router.Tag(qs, false)
 	if err != nil {
 		return res, err
 	}
 	res.Matches = make([]int, len(queries))
-	// A line matches query qi when it satisfied ANY of qi's sets; count
-	// per line with dedup across the query's sets.
-	seen := make([]bool, len(queries))
-	for _, lineTags := range tag.Tags {
-		for _, setID := range lineTags {
-			qi := owner[setID]
-			if !seen[qi] {
-				seen[qi] = true
-				res.Matches[qi]++
-			}
-		}
-		for _, setID := range lineTags {
-			seen[owner[setID]] = false
-		}
+	for qi := range res.Matches {
+		res.Matches[qi] = int(tag.Counts[qi])
 	}
 	res.Passes = tag.Passes
 	res.SimElapsed = tag.SimElapsed

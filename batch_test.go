@@ -2,7 +2,10 @@ package mithrilog
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+
+	"mithrilog/internal/loggen"
 )
 
 func TestSearchBatchMatchesIndividual(t *testing.T) {
@@ -99,6 +102,70 @@ func TestSearchBatchErrors(t *testing.T) {
 	}
 	if _, err := eng.SearchBatch([]Query{{}}); err == nil {
 		t.Fatal("invalid query should fail")
+	}
+}
+
+// TestBatchCountsWithoutPerLineAllocs holds SearchBatch to a counting
+// run: its mallocs may not grow with the lines scanned. The batch's
+// 10-set query is wider than one pass at the default capacity of 8, and
+// its first and ninth sets fire on the same lines in different passes;
+// it must still count each line once, as Query.Match does.
+func TestBatchCountsWithoutPerLineAllocs(t *testing.T) {
+	const n = 5000
+	ds := loggen.Generate(loggen.Liberty2, 4*n, 9)
+	queries := []Query{
+		MustParseQuery(`(parity AND cache) OR (TLB AND data) OR (machine AND check) OR (failed AND read) OR pbs_mom: OR ntpd OR (crond AND NOT ganglia) OR (port AND ms) OR (error AND corrected) OR interrupt`),
+		MustParseQuery(`kernel:`),
+	}
+	overlap := MustParseQuery(`parity AND cache AND error AND corrected`)
+	mallocsFor := func(lines [][]byte) uint64 {
+		e := Open(Config{})
+		defer e.Close()
+		if err := e.IngestBytes(lines); err != nil {
+			t.Fatal(err)
+		}
+		batch, err := e.SearchBatch(queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if batch.Passes != 2 {
+			t.Fatalf("11 sets took %d passes, want 2", batch.Passes)
+		}
+		both := 0
+		for qi, q := range queries {
+			want := 0
+			for _, l := range lines {
+				if q.Match(string(l)) {
+					want++
+				}
+				if qi == 0 && overlap.Match(string(l)) {
+					both++
+				}
+			}
+			if batch.Matches[qi] != want {
+				t.Errorf("%d lines: batch query %d counts %d, Query.Match %d", len(lines), qi, batch.Matches[qi], want)
+			}
+		}
+		if both == 0 {
+			t.Fatalf("%d lines: no line fires the wide query in both passes", len(lines))
+		}
+		runtime.GC()
+		best := ^uint64(0)
+		var before, after runtime.MemStats
+		for i := 0; i < 10; i++ {
+			runtime.ReadMemStats(&before)
+			if _, err := e.SearchBatch(queries); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			best = min(best, after.Mallocs-before.Mallocs)
+		}
+		return best
+	}
+	small, large := mallocsFor(ds.Lines[:n]), mallocsFor(ds.Lines)
+	t.Logf("two-query batch: %d mallocs over %d lines, %d over %d", small, n, large, 4*n)
+	if large >= 2*small {
+		t.Errorf("two-query batch: %d mallocs over %d lines, %d over %d: it allocates per line", small, n, large, 4*n)
 	}
 }
 

@@ -17,12 +17,25 @@ import (
 // extra datapath cost. A library larger than the accelerator's flag-pair
 // capacity is handled with multiple passes over the data, each pass
 // carrying up to the §4.3 "querying up to N templates at once" capacity.
+// A query of several sets (NewQueryTagger) takes one mask bit per set,
+// and a line carries it when any of those bits is set.
 type Tagger struct {
 	engine *Engine
 	// groups are the compiled per-pass query batches.
 	groups []query.Query
-	// ids maps (group, set index) to the caller's template ID.
-	ids [][]int
+	// members lists, per group, the templates with sets in it.
+	members [][]member
+	// templates is the library size.
+	templates int
+}
+
+// member is one template's share of a pass: the set-mask bits its sets
+// occupy. A split template's sets span more than one pass, so a line may
+// fire it in several and must be counted once.
+type member struct {
+	tid   int
+	bits  filter.SetMask
+	split bool
 }
 
 // TagResult reports one tagging run.
@@ -52,35 +65,53 @@ type TagResult struct {
 // template, indexed by position) into pass groups sized to the pipeline's
 // intersection-set capacity.
 func (e *Engine) NewTagger(templateQueries []query.Query) (*Tagger, error) {
-	if len(templateQueries) == 0 {
+	for tid, q := range templateQueries {
+		if len(q.Sets) > 1 {
+			return nil, fmt.Errorf("core: template %d: tagger requires single-intersection template queries, got %d sets", tid, len(q.Sets))
+		}
+	}
+	return e.NewQueryTagger(templateQueries)
+}
+
+// NewQueryTagger is NewTagger for queries of any width: a line carries
+// query i when any of its intersection sets fires. Sets pack into passes
+// in order, capacity sets per pass, so a query's sets may span passes.
+func (e *Engine) NewQueryTagger(queries []query.Query) (*Tagger, error) {
+	if len(queries) == 0 {
 		return nil, fmt.Errorf("core: tagger needs at least one template query")
 	}
 	capacity := e.cfg.Pipeline.Table.SetCount()
-	t := &Tagger{engine: e}
-	var group query.Query
-	var ids []int
-	flush := func() {
-		if len(group.Sets) > 0 {
-			t.groups = append(t.groups, group)
-			t.ids = append(t.ids, ids)
-			group = query.Query{}
-			ids = nil
-		}
-	}
-	for tid, q := range templateQueries {
+	t := &Tagger{engine: e, templates: len(queries)}
+	for tid, q := range queries {
 		if err := q.Validate(); err != nil {
 			return nil, fmt.Errorf("core: template %d: %w", tid, err)
 		}
-		if len(q.Sets) != 1 {
-			return nil, fmt.Errorf("core: template %d: tagger requires single-intersection template queries, got %d sets", tid, len(q.Sets))
+		first := -1
+		for _, set := range q.Sets {
+			g := len(t.groups) - 1
+			if g < 0 || len(t.groups[g].Sets) == capacity {
+				t.groups = append(t.groups, query.Query{})
+				t.members = append(t.members, nil)
+				g++
+			}
+			ms := t.members[g]
+			if len(ms) == 0 || ms[len(ms)-1].tid != tid {
+				ms = append(ms, member{tid: tid})
+			}
+			ms[len(ms)-1].bits |= 1 << len(t.groups[g].Sets)
+			t.members[g] = ms
+			t.groups[g].Sets = append(t.groups[g].Sets, set)
+			if first < 0 {
+				first = g
+			}
 		}
-		if len(group.Sets) == capacity {
-			flush()
+		// The query is the last member of every group its sets reached.
+		if last := len(t.groups) - 1; first < last {
+			for g := first; g <= last; g++ {
+				t.members[g][len(t.members[g])-1].split = true
+			}
 		}
-		group.Sets = append(group.Sets, q.Sets[0])
-		ids = append(ids, tid)
 	}
-	flush()
 	return t, nil
 }
 
@@ -106,6 +137,9 @@ func (t *Tagger) Run(collectTags bool) (TagResult, error) {
 	// are stable across passes: pages are visited in order).
 	var matchedPerLine []int
 	var tags [][]int
+	// fired[tid] holds, for a split template, one bit per line it has
+	// already been counted on.
+	fired := make([][]uint64, t.templates)
 	var simTotal time.Duration
 	masks := make([]filter.SetMask, 0, 4096)
 	pages, stream := e.dataPages, e.dev.TransferTime(storage.Internal, e.compBytes)
@@ -130,14 +164,14 @@ func (t *Tagger) Run(collectTags bool) (TagResult, error) {
 						}
 					}
 					if mask != 0 {
-						for si := 0; si < len(group.Sets); si++ {
-							if mask.Has(si) {
-								tid := t.ids[gi][si]
-								res.Counts[tid]++
-								matchedPerLine[lineNo]++
-								if collectTags {
-									tags[lineNo] = append(tags[lineNo], tid)
-								}
+						for _, m := range t.members[gi] {
+							if mask&m.bits == 0 || (m.split && testAndSet(&fired[m.tid], lineNo)) {
+								continue
+							}
+							res.Counts[m.tid]++
+							matchedPerLine[lineNo]++
+							if collectTags {
+								tags[lineNo] = append(tags[lineNo], m.tid)
 							}
 						}
 					}
@@ -174,4 +208,16 @@ func (t *Tagger) Run(collectTags bool) (TagResult, error) {
 	res.SimElapsed = simTotal
 	res.WallElapsed = time.Since(start)
 	return res, nil
+}
+
+// testAndSet sets bit i of *bits, growing it as needed, and reports
+// whether the bit was already set.
+func testAndSet(bits *[]uint64, i int) bool {
+	for len(*bits) <= i/64 {
+		*bits = append(*bits, 0)
+	}
+	w, b := &(*bits)[i/64], uint64(1)<<(i%64)
+	was := *w&b != 0
+	*w |= b
+	return was
 }

@@ -424,3 +424,23 @@ func BenchmarkPipelineFilterBlock(b *testing.B) {
 		}
 	}
 }
+
+// TestUtilizationIsRawBytesOverDatapathCapacity pins Utilization's
+// definition: raw bytes streamed per byte the WordSize-wide datapath
+// could have carried in the pipeline's cycles, capped at 1.
+func TestUtilizationIsRawBytesOverDatapathCapacity(t *testing.T) {
+	for _, c := range []struct {
+		raw, cycles uint64
+		want        float64
+	}{
+		{raw: 100 * tokenizer.WordSize, cycles: 200, want: 0.5},
+		{raw: 200 * tokenizer.WordSize, cycles: 200, want: 1},
+		{raw: 300 * tokenizer.WordSize, cycles: 200, want: 1},
+		{raw: 0, cycles: 200, want: 0},
+		{raw: 100, cycles: 0, want: 0},
+	} {
+		if got := (PipelineStats{RawBytes: c.raw, Cycles: c.cycles}).Utilization(); got != c.want {
+			t.Errorf("%d raw bytes in %d cycles: utilization %v, want %v", c.raw, c.cycles, got, c.want)
+		}
+	}
+}

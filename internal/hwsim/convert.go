@@ -1,12 +1,10 @@
 package hwsim
 
 // This file is the unit-conversion API: the one place where cycle counts,
-// byte counts, clock rates, and wall time may legally mix. The `unitcheck`
-// analyzer in internal/lint infers units of measure from hwsim's
-// signatures and flags any inline arithmetic elsewhere that crosses unit
-// boundaries (cycles/Hz, bytes/rate, bytes/duration), so every
-// simulated-time and throughput figure the repository reports goes through
-// these three functions or the SystemConfig derivations in hwsim.go.
+// byte counts, clock rates, and wall time mix. Every simulated-time and
+// throughput figure the repository reports goes through these three
+// functions or the SystemConfig derivations in hwsim.go, and the ledger
+// and scan goldens pin the figures they produce.
 
 import "time"
 

@@ -1,14 +1,13 @@
 package lint
 
-// This file is the interprocedural layer under hotalloc and shardiso: a
-// whole-module static call graph with the function-declaration index the
-// analyzers share. Dispatch is static only — direct calls and method
-// calls resolved by go/types (info.Uses[sel.Sel]); calls through function
-// values, interfaces, or reflection produce no edges. That is the same
-// deliberate conservatism as lockorder's summary chase: the analyzers
-// built on top restrict themselves to same-package reachability
-// (hotalloc) or to escapes they can prove (shardiso), so a missing edge
-// weakens a proof rather than silencing a real finding class.
+// This file is the interprocedural layer under lockorder and hotalloc: a
+// whole-module static call graph with a function-declaration index.
+// Dispatch is static only — direct calls and method calls resolved by
+// go/types (info.Uses[sel.Sel]); calls through function values,
+// interfaces, or reflection produce no edges. lockorder chases its
+// acquisition summaries over these edges, and hotalloc restricts itself
+// to same-package reachability, so a missing edge weakens a proof rather
+// than silencing a real finding class.
 
 import (
 	"go/ast"
@@ -28,6 +27,9 @@ type callGraph struct {
 	// by funcKey, once per call site.
 	callees map[string][]string
 }
+
+// funcKey identifies a declared function across packages.
+func funcKey(fn *types.Func) string { return fn.FullName() }
 
 // moduleCallGraph returns the program's call graph, building it on first
 // use.

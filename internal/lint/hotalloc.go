@@ -670,3 +670,50 @@ func condContainsCap(info *types.Info, cond ast.Expr) bool {
 	})
 	return found
 }
+
+// declParams returns the declaration's parameter variables in signature
+// order (nil for unnamed parameters).
+func declParams(info *types.Info, fd *ast.FuncDecl) []*types.Var {
+	var out []*types.Var
+	if fd.Type.Params == nil {
+		return out
+	}
+	for _, field := range fd.Type.Params.List {
+		if len(field.Names) == 0 {
+			out = append(out, nil)
+			continue
+		}
+		for _, name := range field.Names {
+			v, _ := info.Defs[name].(*types.Var)
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+func identVar(info *types.Info, id *ast.Ident) *types.Var {
+	if v, ok := info.Defs[id].(*types.Var); ok {
+		return v
+	}
+	v, _ := info.Uses[id].(*types.Var)
+	return v
+}
+
+func rhsFor(as *ast.AssignStmt, i int) ast.Expr {
+	if len(as.Lhs) == len(as.Rhs) {
+		return as.Rhs[i]
+	}
+	if len(as.Rhs) == 1 {
+		return as.Rhs[0]
+	}
+	return nil
+}
+
+func isBuiltin(info *types.Info, call *ast.CallExpr, name string) bool {
+	id, ok := unparen(call.Fun).(*ast.Ident)
+	if !ok || id.Name != name {
+		return false
+	}
+	_, ok = info.Uses[id].(*types.Builtin)
+	return ok
+}

@@ -10,20 +10,16 @@
 //	metricname    obs metrics: one registration site, valid name, constant labels
 //	ctxflow       no context.Background()/TODO() below the facade on hot paths
 //	errdrop       codec/device/index/cuckoo errors are never discarded
-//	unitcheck     units mix only via hwsim helpers; paper constants defined only in hwsim
+//	paperconst    the paper's constants are defined once, in hwsim
 //	hotalloc      //mithrilint:hotpath functions are statically allocation-free
-//	shardiso      `// shard-owned` state never escapes across the router boundary
 //	persistver    persisted streams write one canonical magic/version and check it on decode
 //
-// Several are built on a statement-level control-flow graph (cfg.go) and
-// a forward-dataflow fixpoint solver (dataflow.go); hotalloc and shardiso
-// add a whole-module static call graph (callgraph.go) with bottom-up
-// per-function summaries — escaping parameters (paramescape.go),
-// same-package reachability — all stdlib-only like the rest of the suite.
+// hotalloc adds a whole-module static call graph (callgraph.go) for
+// same-package reachability, stdlib-only like the rest of the suite.
 //
 // See LINT.md at the repository root for the rationale behind each
 // invariant and the suppression syntax. The cmd/mithrilint driver runs the
-// suite over the module; analysistest.go runs single analyzers over the
+// suite over the module; analysistest_test.go runs single analyzers over the
 // fixture packages under testdata/src.
 package lint
 
@@ -58,9 +54,8 @@ func Analyzers() []*Analyzer {
 		MetricNameAnalyzer,
 		CtxFlowAnalyzer,
 		ErrDropAnalyzer,
-		UnitCheckAnalyzer,
+		PaperConstAnalyzer,
 		HotAllocAnalyzer,
-		ShardIsoAnalyzer,
 		PersistVerAnalyzer,
 	}
 }
@@ -132,9 +127,9 @@ type Package struct {
 // Memo builds a program-wide value once and caches it under key, so an
 // analyzer visited once per package can construct its global state (call
 // graphs, registries) a single time. The build runs outside the lock:
-// builders may themselves call Memo (the v3 analyzers all build on the
-// memoized call graph), and a rare duplicate build of the same
-// deterministic value is cheaper than a reentrancy deadlock.
+// builders may themselves call Memo (hotalloc builds on the memoized
+// call graph), and a rare duplicate build of the same deterministic
+// value is cheaper than a reentrancy deadlock.
 func (prog *Program) Memo(key string, build func() interface{}) interface{} {
 	prog.memoMu.Lock()
 	if prog.memo == nil {
@@ -182,10 +177,9 @@ func RunWithOptions(prog *Program, pkgs []*Package, analyzers []*Analyzer, opts 
 }
 
 // AnalyzerTiming is one analyzer's wall-clock share of a run. The first
-// analyzer to touch a memoized program-wide fact (the call graph, the
-// parameter-escape summary) pays its construction cost; later consumers
-// read the cache. The skew is stable because analyzers run in suite
-// order.
+// analyzer to touch a memoized program-wide fact (the call graph) pays
+// its construction cost; later consumers read the cache. The skew is
+// stable because analyzers run in suite order.
 type AnalyzerTiming struct {
 	Name    string
 	Elapsed time.Duration

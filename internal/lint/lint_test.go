@@ -55,42 +55,12 @@ func TestErrDropFixture(t *testing.T) {
 	RunFixture(t, fixtures(t), ErrDropAnalyzer, "errdrop/a")
 }
 
-// TestUnitCheckFixture covers both halves of unitcheck: the unit-mix
-// dataflow (core.go) and paper-constant provenance (paperconst.go).
-func TestUnitCheckFixture(t *testing.T) {
-	RunFixture(t, fixtures(t), UnitCheckAnalyzer, "unitcheck/internal/core")
-}
-
-// TestPaperConstFixture runs the paper-constant provenance half of
-// unitcheck on its own over the shared fixture: it must report exactly the
-// want lines of paperconst.go and nothing in the unit-mix file core.go.
 func TestPaperConstFixture(t *testing.T) {
-	l := fixtures(t)
-	const pkgPath = "unitcheck/internal/core"
-	pkg, prog, err := l.LoadFixture(pkgPath)
-	if err != nil {
-		t.Fatalf("loading fixture %s: %v", pkgPath, err)
-	}
-	provenance := &Analyzer{Name: UnitCheckAnalyzer.Name, Run: checkPaperConsts}
-	diags := Run(prog, []*Package{pkg}, []*Analyzer{provenance})
-	var wants []want
-	for _, w := range fixtureWants(t, l, pkg) {
-		if filepath.Base(w.file) == "paperconst.go" {
-			wants = append(wants, w)
-		}
-	}
-	if len(wants) == 0 {
-		t.Fatalf("%s: no want lines in paperconst.go", pkgPath)
-	}
-	checkWants(t, pkgPath, diags, wants)
+	RunFixture(t, fixtures(t), PaperConstAnalyzer, "paperconst/internal/core")
 }
 
 func TestHotAllocFixture(t *testing.T) {
 	RunFixture(t, fixtures(t), HotAllocAnalyzer, "hotalloc/a")
-}
-
-func TestShardIsoFixture(t *testing.T) {
-	RunFixture(t, fixtures(t), ShardIsoAnalyzer, "shardiso/a")
 }
 
 func TestPersistVerFixture(t *testing.T) {
@@ -186,9 +156,8 @@ func TestFixtureExclusivity(t *testing.T) {
 		{"metricname/a", "metricname"},
 		{"ctxflow/internal/sched", "ctxflow"},
 		{"errdrop/a", "errdrop"},
-		{"unitcheck/internal/core", "unitcheck"},
+		{"paperconst/internal/core", "paperconst"},
 		{"hotalloc/a", "hotalloc"},
-		{"shardiso/a", "shardiso"},
 		{"persistver/a", "persistver"},
 	}
 	l := fixtures(t)

@@ -58,6 +58,23 @@ func NewLoader(moduleDir string) *Loader {
 	}
 }
 
+// ModuleLoader returns a loader for l's module that shares l's file set
+// and starts from the GOROOT packages l has already listed and
+// type-checked, so a second load does not check the standard library
+// again. l's fixture roots are not inherited: no module path resolves
+// under them.
+func (l *Loader) ModuleLoader() *Loader {
+	m := NewLoader(l.ModuleDir)
+	m.fset = l.fset
+	for path, pkg := range l.pkgs {
+		if pkg != nil && pkg.Standard {
+			m.pkgs[path] = pkg
+			m.metas[path] = l.metas[path]
+		}
+	}
+	return m
+}
+
 // goList runs `go list -deps -json` on the patterns and merges the result
 // into the loader's metadata table, returning the import paths the
 // patterns matched (dependencies excluded) in emission order.
@@ -214,25 +231,29 @@ func (l *Loader) load(path string) (*Package, error) {
 	} else {
 		names = meta.GoFiles
 	}
+	// GOROOT packages are loaded for their exported types only: analyzers
+	// never read their comments, function bodies or type information.
+	std := meta != nil && !isFixture && meta.Standard
+	mode := parser.ParseComments | parser.SkipObjectResolution
+	if std {
+		mode = parser.SkipObjectResolution
+	}
 	for _, name := range names {
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, mode)
 		if err != nil {
 			return nil, err
 		}
 		files = append(files, f)
 	}
 
-	pkg := &Package{
-		Path:     path,
-		Dir:      dir,
-		Files:    files,
-		Standard: meta != nil && !isFixture && meta.Standard,
-		Info: &types.Info{
+	pkg := &Package{Path: path, Dir: dir, Files: files, Standard: std, Info: &types.Info{}}
+	if !std {
+		pkg.Info = &types.Info{
 			Types:      make(map[ast.Expr]types.TypeAndValue),
 			Defs:       make(map[*ast.Ident]types.Object),
 			Uses:       make(map[*ast.Ident]types.Object),
 			Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		},
+		}
 	}
 
 	var importMap map[string]string
@@ -241,7 +262,8 @@ func (l *Loader) load(path string) (*Package, error) {
 	}
 	var typeErrs []error
 	conf := types.Config{
-		Importer: &pkgImporter{l: l, importMap: importMap},
+		IgnoreFuncBodies: std,
+		Importer:         &pkgImporter{l: l, importMap: importMap},
 		Error: func(err error) {
 			typeErrs = append(typeErrs, err)
 		},

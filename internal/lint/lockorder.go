@@ -148,9 +148,6 @@ func lockCall(info *types.Info, call *ast.CallExpr) (lock string, method string,
 	return id, sel.Sel.Name, true
 }
 
-// funcKey identifies a declared function across packages.
-func funcKey(fn *types.Func) string { return fn.FullName() }
-
 // heldLock is one entry of the held set during the body walk.
 type heldLock struct {
 	id   string
@@ -159,65 +156,36 @@ type heldLock struct {
 
 // buildLockGraph walks every non-GOROOT package in the program.
 func buildLockGraph(prog *Program) *lockGraph {
-	// Index function declarations so calls can be chased across packages.
-	decls := make(map[string]*ast.FuncDecl)
-	declPkg := make(map[string]*Package)
-	for _, pkg := range prog.Pkgs {
-		if pkg.Standard {
-			continue
-		}
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					decls[funcKey(fn)] = fd
-					declPkg[funcKey(fn)] = pkg
-				}
-			}
-		}
-	}
+	cg := moduleCallGraph(prog)
 
 	// Pass 1: transitive "locks acquired somewhere inside" summary per
 	// function, by fixpoint over the static call graph. The value records
 	// whether any acquisition is a write lock (write dominates read when
 	// merging, since a write acquisition is the stricter fact).
 	acquires := make(map[string]map[string]bool)
-	for key := range decls {
-		acquires[key] = directAcquires(declPkg[key].Info, decls[key])
+	for _, key := range cg.keys {
+		acquires[key] = directAcquires(cg.declPkg[key].Info, cg.decls[key])
 	}
 	for changed := true; changed; {
 		changed = false
-		for key, fd := range decls {
-			info := declPkg[key].Info
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				fn := calleeFunc(info, call)
-				if fn == nil {
-					return true
-				}
-				for id, write := range acquires[funcKey(fn)] {
+		for _, key := range cg.keys {
+			for _, callee := range cg.callees[key] {
+				for id, write := range acquires[callee] {
 					if have, ok := acquires[key][id]; !ok || (write && !have) {
 						acquires[key][id] = have || write
 						changed = true
 					}
 				}
-				return true
-			})
+			}
 		}
 	}
 
 	// Pass 2: ordered walk recording edges.
 	g := &lockGraph{}
-	for key, fd := range decls {
-		pkg := declPkg[key]
+	for _, key := range cg.keys {
+		pkg := cg.declPkg[key]
 		w := &lockWalker{info: pkg.Info, pkg: pkg.Path, acquires: acquires, g: g}
-		w.walkBody(fd.Body, nil)
+		w.walkBody(cg.decls[key].Body, nil)
 	}
 	sort.Slice(g.edges, func(i, j int) bool {
 		a, b := g.edges[i], g.edges[j]

@@ -12,18 +12,14 @@ import (
 // `go test ./...` fails on an invariant violation even where CI's
 // dedicated mithrilint stage is not wired up. It runs strict (stale
 // suppressions are findings), matching CI's -strict-ignores invocation.
-// It type-checks the entire dependency graph (a few seconds), hence the
-// -short skip.
+// It type-checks every module package; the standard-library packages the
+// fixture tests have already checked are reused from the shared fixture
+// loader.
 func TestRepoInvariantsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped with -short")
 	}
-	dir, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatalf("resolving module root: %v", err)
-	}
-	loader := NewLoader(dir)
-	pkgs, prog, err := loader.LoadModule("./...")
+	pkgs, prog, err := fixtures(t).ModuleLoader().LoadModule("./...")
 	if err != nil {
 		t.Fatalf("loading module: %v", err)
 	}

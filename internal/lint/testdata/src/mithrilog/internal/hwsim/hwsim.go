@@ -1,40 +1,8 @@
 // Package hwsim is a fixture stand-in for mithrilog/internal/hwsim: it
-// mirrors the accounting and unit-conversion APIs the cycleaccount and
-// unitcheck analyzers bless, so fixture packages can exercise "mutation
-// through the API is fine" and "conversion through the API is fine" cases
-// without depending on the real simulator.
+// mirrors the accounting API the cycleaccount analyzer blesses, so fixture
+// packages can exercise "mutation through the API is fine" cases without
+// depending on the real simulator.
 package hwsim
-
-import "time"
-
-// CyclesToDuration mirrors the real cycle→time conversion.
-func CyclesToDuration(cycles uint64, clockHz float64) time.Duration {
-	if clockHz <= 0 {
-		return 0
-	}
-	return time.Duration(float64(cycles) / clockHz * float64(time.Second))
-}
-
-// DurationForBytes mirrors the real transfer-time conversion.
-func DurationForBytes(n uint64, bytesPerSecond float64) time.Duration {
-	if bytesPerSecond <= 0 {
-		return 0
-	}
-	return time.Duration(float64(n) / bytesPerSecond * float64(time.Second))
-}
-
-// BytesPerSecond mirrors the real throughput conversion.
-func BytesPerSecond(n uint64, d time.Duration) float64 {
-	if d <= 0 {
-		return 0
-	}
-	return float64(n) / d.Seconds()
-}
-
-// CapacityBytes mirrors the real datapath-capacity conversion.
-func CapacityBytes(cycles, bytesPerCycle uint64) uint64 {
-	return cycles * bytesPerCycle
-}
 
 // AddCycles mirrors the real accounting entry point.
 func AddCycles(counter *uint64, n uint64) { *counter += n }

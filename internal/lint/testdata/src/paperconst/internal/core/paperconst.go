@@ -1,3 +1,4 @@
+// Package core is the paperconst fixture.
 package core
 
 // Paper-constant provenance: paper magic numbers re-typed as literals

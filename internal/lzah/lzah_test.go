@@ -174,6 +174,31 @@ func TestDecodeWordAccounting(t *testing.T) {
 	}
 }
 
+// TestDecodeWordsOnePerWindow pins the decode-cycle account exactly: the
+// decoder emits one word per encoder window, and a window holds at most
+// WordSize bytes and ends at a line's newline, so a block costs the sum
+// over its lines of ceil(len/WordSize) words, matched or literal.
+func TestDecodeWordsOnePerWindow(t *testing.T) {
+	c := NewCodec(Options{})
+	var src []byte
+	want := uint64(0)
+	for _, n := range []int{1, 9, 15, 16, 17, 31, 32, 33, 100, 16, 9} {
+		line := append(bytes.Repeat([]byte("ab"), n/2), "cdefghijklmnopq"[:n%2]...)
+		line[len(line)-1] = '\n'
+		src = append(src, line...)
+		want += uint64((n + WordSize - 1) / WordSize)
+	}
+	comp := c.Compress(nil, src)
+	c.ResetStats()
+	out, err := c.Decompress(nil, comp)
+	if err != nil || !bytes.Equal(out, src) {
+		t.Fatalf("round trip failed: %v", err)
+	}
+	if got := c.DecodeWords(); got != want {
+		t.Fatalf("decode words %d for %d bytes, want %d: one per window", got, len(src), want)
+	}
+}
+
 func TestQuickRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

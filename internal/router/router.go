@@ -101,22 +101,21 @@ type Config struct {
 }
 
 // shard is one engine plus its admission layer and private metrics.
-// Every field is shard-local by construction: the router may call
-// through these references during one scatter, but must never hand
-// them to another shard, a router field, or a goroutine that outlives
-// the per-shard call (mithrilint's shardiso analyzer enforces this).
+// Every field is shard-local: the router may call through these
+// references during one scatter, but must never hand them to another
+// shard, a router field, or a goroutine that outlives the per-shard call.
 type shard struct {
-	eng   *core.Engine     // shard-owned
-	sch   *sched.Scheduler // shard-owned
-	cache *sched.PageCache // shard-owned
-	reg   *obs.Registry    // shard-owned
+	eng   *core.Engine
+	sch   *sched.Scheduler
+	cache *sched.PageCache
+	reg   *obs.Registry
 }
 
 // Router fans ingest and queries across shards. All methods are safe for
 // concurrent use.
 type Router struct {
 	cfg     Config
-	shards  []*shard             // shard-owned
+	shards  []*shard
 	limiter *sched.TenantLimiter // nil at one shard
 
 	// rr counts untenanted lines ingested so far: line i of the router's
@@ -238,8 +237,6 @@ func (r *Router) ShardFor(tenant string) int {
 // deliberate, documented hole in shard isolation: callers get read-only
 // introspection (Stats, differential oracles) and must not retain the
 // engine past the call.
-//
-//mithrilint:ignore shardiso Shard is the documented introspection escape hatch; callers must not retain the engine
 func (r *Router) Shard(i int) *core.Engine { return r.shards[i].eng }
 
 // Limiter exposes the router's tenant quota layer (tests, admission
@@ -391,8 +388,9 @@ func (r *Router) Export(w io.Writer) (uint64, error) {
 	return n, nil
 }
 
-// Tag runs one template-tagging pass over a one-shard router's engine.
-// It is gated like every other operation: Close waits for it, and after
+// Tag runs one template-tagging pass over a one-shard router's engine;
+// a template may be a query of several sets (core.NewQueryTagger). It
+// is gated like every other operation: Close waits for it, and after
 // Close it fails with ErrClosed. A wider router refuses with ErrSharded.
 func (r *Router) Tag(templates []query.Query, collect bool) (core.TagResult, error) {
 	if err := r.begin(); err != nil {
@@ -402,7 +400,7 @@ func (r *Router) Tag(templates []query.Query, collect bool) (core.TagResult, err
 	if len(r.shards) > 1 {
 		return core.TagResult{}, ErrSharded
 	}
-	t, err := r.shards[0].eng.NewTagger(templates)
+	t, err := r.shards[0].eng.NewQueryTagger(templates)
 	if err != nil {
 		return core.TagResult{}, err
 	}

@@ -503,3 +503,19 @@ func TestFederatedMetricsCarryShardLabel(t *testing.T) {
 		t.Fatalf("TYPE mithrilog_storage_pages appears %d times, want 1", n)
 	}
 }
+
+// TestObsIsTheRouterRegistry: Obs hands callers (the HTTP server
+// registers its series there) the router's own registry at every width,
+// never a shard's, so their series federate without a shard label.
+func TestObsIsTheRouterRegistry(t *testing.T) {
+	for _, n := range []int{1, 4} {
+		r := newTestRouter(t, n)
+		var buf bytes.Buffer
+		if err := r.Obs().WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("mithrilog_router_shards %d\n", n); !strings.Contains(buf.String(), want) {
+			t.Errorf("%d shards: Obs() exposition lacks %q: not the router's registry", n, want)
+		}
+	}
+}

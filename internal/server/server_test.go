@@ -85,6 +85,26 @@ func TestIngestSearchCycle(t *testing.T) {
 	}
 }
 
+// TestSearchReportsEffectiveGBps holds /search's effectiveGBps to the
+// facade's §7.4.2 figure for the same query: the dataset's raw bytes over
+// the simulated time, not over the host's wall clock.
+func TestSearchReportsEffectiveGBps(t *testing.T) {
+	ts, eng := newTestServer(t)
+	post(t, ts.URL+"/ingest", "alpha event one\nbeta event two\nalpha event three\n")
+	post(t, ts.URL+"/flush", "")
+	var sr searchResponse
+	if code := get(t, ts.URL+"/search?q=alpha&limit=0", &sr); code != http.StatusOK {
+		t.Fatalf("search status %d", code)
+	}
+	res, err := eng.Search("alpha", mithrilog.SearchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sr.EffectiveGBps <= 0 || sr.EffectiveGBps != res.EffectiveGBps {
+		t.Errorf("/search effectiveGBps %v, facade %v for the same query", sr.EffectiveGBps, res.EffectiveGBps)
+	}
+}
+
 func TestSearchLimitAndNoIndex(t *testing.T) {
 	ts, _ := newTestServer(t)
 	var lines []string

@@ -59,6 +59,14 @@ func TestPaperConstFixture(t *testing.T) {
 	RunFixture(t, fixtures(t), PaperConstAnalyzer, "paperconst/internal/core")
 }
 
+// TestUnitCheckFixture runs paperconst over the fixture of the retired
+// unitcheck unit lattice: unit arithmetic with literal scale factors and
+// loop bounds in an engine package spells no paper constant, so the
+// fixture has no wants and any finding fails the test.
+func TestUnitCheckFixture(t *testing.T) {
+	RunFixture(t, fixtures(t), PaperConstAnalyzer, "unitcheck/internal/core")
+}
+
 func TestHotAllocFixture(t *testing.T) {
 	RunFixture(t, fixtures(t), HotAllocAnalyzer, "hotalloc/a")
 }

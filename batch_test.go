@@ -106,10 +106,12 @@ func TestSearchBatchErrors(t *testing.T) {
 }
 
 // TestBatchCountsWithoutPerLineAllocs holds SearchBatch to a counting
-// run: its mallocs may not grow with the lines scanned. The batch's
-// 10-set query is wider than one pass at the default capacity of 8, and
-// its first and ninth sets fire on the same lines in different passes;
-// it must still count each line once, as Query.Match does.
+// run: its mallocs may not grow with the lines scanned, and the bytes it
+// allocates may grow by under 2 per added line (a per-line slice of ints
+// costs far more). The batch's 10-set query is wider than one pass at the
+// default capacity of 8, and its first and ninth sets fire on the same
+// lines in different passes; it must still count each line once, as
+// Query.Match does.
 func TestBatchCountsWithoutPerLineAllocs(t *testing.T) {
 	const n = 5000
 	ds := loggen.Generate(loggen.Liberty2, 4*n, 9)
@@ -118,7 +120,7 @@ func TestBatchCountsWithoutPerLineAllocs(t *testing.T) {
 		MustParseQuery(`kernel:`),
 	}
 	overlap := MustParseQuery(`parity AND cache AND error AND corrected`)
-	mallocsFor := func(lines [][]byte) uint64 {
+	allocsFor := func(lines [][]byte) (mallocs, bytes uint64) {
 		e := Open(Config{})
 		defer e.Close()
 		if err := e.IngestBytes(lines); err != nil {
@@ -150,7 +152,7 @@ func TestBatchCountsWithoutPerLineAllocs(t *testing.T) {
 			t.Fatalf("%d lines: no line fires the wide query in both passes", len(lines))
 		}
 		runtime.GC()
-		best := ^uint64(0)
+		mallocs, bytes = ^uint64(0), ^uint64(0)
 		var before, after runtime.MemStats
 		for i := 0; i < 10; i++ {
 			runtime.ReadMemStats(&before)
@@ -158,14 +160,20 @@ func TestBatchCountsWithoutPerLineAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			runtime.ReadMemStats(&after)
-			best = min(best, after.Mallocs-before.Mallocs)
+			mallocs = min(mallocs, after.Mallocs-before.Mallocs)
+			bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
 		}
-		return best
+		return mallocs, bytes
 	}
-	small, large := mallocsFor(ds.Lines[:n]), mallocsFor(ds.Lines)
+	small, smallBytes := allocsFor(ds.Lines[:n])
+	large, largeBytes := allocsFor(ds.Lines)
 	t.Logf("two-query batch: %d mallocs over %d lines, %d over %d", small, n, large, 4*n)
 	if large >= 2*small {
 		t.Errorf("two-query batch: %d mallocs over %d lines, %d over %d: it allocates per line", small, n, large, 4*n)
+	}
+	t.Logf("two-query batch: %d bytes over %d lines, %d over %d", smallBytes, n, largeBytes, 4*n)
+	if largeBytes >= smallBytes+2*(4*n-n) {
+		t.Errorf("two-query batch: %d bytes over %d lines, %d over %d: it grows by 2 or more bytes per line", smallBytes, n, largeBytes, 4*n)
 	}
 }
 

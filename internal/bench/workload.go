@@ -111,6 +111,11 @@ func BuildWorkload(p loggen.Profile, opts Options) (*Workload, error) {
 	if err := eng.Flush(); err != nil {
 		return nil, err
 	}
+	// The experiments model an index that lives entirely on flash, so its
+	// partial nodes are written once, where ingest ends.
+	if err := eng.Index().Flush(); err != nil {
+		return nil, err
+	}
 	w.MithriLog = eng
 
 	ss, err := softscan.Build(storage.New(storage.Config{}), ds.Lines)

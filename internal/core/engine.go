@@ -176,6 +176,7 @@ func newEngine(cfg Config, store *storage.SegmentStore) *Engine {
 	storage.RegisterDeviceMetrics(reg, dev)
 	storage.RegisterSegmentMetrics(reg, e.store)
 	hwsim.RegisterSystemMetrics(reg, cfg.System)
+	e.met.indexMemoryBytes.Set(float64(e.ix.MemoryFootprint()))
 	return e
 }
 
@@ -345,23 +346,22 @@ func (e *Engine) ingestLocked(lines [][]byte) error {
 	return nil
 }
 
-// Flush writes any buffered lines into a final (possibly underfull) data
-// page and flushes the index.
+// Flush writes any buffered lines into data pages, the last possibly
+// underfull, and indexes them. It writes no index node: the index writes
+// a node only when it fills, and Lookup reads the partial ones from
+// memory.
 func (e *Engine) Flush() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.flushLocked()
 }
 
+// flushLocked is the seal, counted in mithrilog_engine_flushes_total.
 func (e *Engine) flushLocked() error {
 	if err := e.sealLocked(); err != nil {
 		return err
 	}
-	if err := e.ix.Flush(); err != nil {
-		return err
-	}
 	e.met.flushes.Inc()
-	e.met.indexMemoryBytes.Set(float64(e.ix.MemoryFootprint()))
 	return nil
 }
 
@@ -370,11 +370,6 @@ func (e *Engine) flushLocked() error {
 // under that lock, and only the query-time seal needs the write lock, so
 // it is taken only when lines are buffered, under sp's "flush" child
 // span. Lines buffered after the seal wait for the next query.
-//
-// The seal makes buffered lines visible to a query by writing them into
-// data pages, the last possibly underfull, and indexing them. It is not a
-// Flush: the index keeps its bucket buffers in memory, where Lookup reads
-// them first.
 func (e *Engine) sealPending(sp *obs.Span) error {
 	e.mu.RLock()
 	pending := len(e.pending) > 0
@@ -389,6 +384,10 @@ func (e *Engine) sealPending(sp *obs.Span) error {
 	return e.sealLocked()
 }
 
+// sealLocked writes every buffered line into data pages, the last
+// possibly underfull, and indexes them. It is the one seal: a query,
+// Flush, TakeSnapshot, SealSegments, WriteSegments, Export and Tagger.Run
+// all run it.
 func (e *Engine) sealLocked() error {
 	for len(e.pending) > 0 {
 		if err := e.flushPending(); err != nil {

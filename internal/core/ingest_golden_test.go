@@ -17,7 +17,8 @@ import (
 // from the data pages alone. The oracles say an indexed search returns the
 // right lines, and TestScanGolden says the read path moved no cycle; this
 // says a rewrite of page fitting, LZAH encoding, token splitting or index
-// insertion moved no byte on the device.
+// insertion moved no byte on the device. A flush writes no index node,
+// so each profile's flush and reopen headers agree.
 //
 // Regenerate with `go test ./internal/core -run TestIngestGolden
 // -update-golden` only when a change is *meant* to move the stored bytes,

@@ -73,7 +73,7 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 		flushes: reg.Counter("mithrilog_engine_flushes_total",
 			"Explicit flush operations (Flush, Snapshot, SealSegments, WriteSegments, Export); the seal a query runs over pending lines is not one."),
 		indexMemoryBytes: reg.Gauge("mithrilog_index_memory_bytes",
-			"Resident in-memory footprint of the inverted index (updated per indexed data page, on flush and on reopen)."),
+			"Resident in-memory footprint of the inverted index (updated per indexed data page)."),
 		searchQueries: reg.CounterVec("mithrilog_search_queries_total",
 			"Queries executed, by evaluation path (accelerated = near-storage pipelines, software = host fallback).",
 			"path"),

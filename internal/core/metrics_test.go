@@ -73,11 +73,26 @@ func TestEngineMetrics(t *testing.T) {
 }
 
 // TestIndexMemoryGaugeTracksIngest: mithrilog_index_memory_bytes follows
-// the index footprint page by page between flushes, and a reopened engine
-// publishes its rebuilt index's footprint without a flush of its own.
+// the index footprint from construction and page by page between
+// flushes, and a reopened engine, empty or not, publishes its rebuilt
+// index's footprint without a flush of its own.
 func TestIndexMemoryGaugeTracksIngest(t *testing.T) {
 	e := NewEngine(Config{})
 	gauge := func(e *Engine) int { return int(e.met.indexMemoryBytes.Value()) }
+	if got, want := gauge(e), e.IndexMemoryFootprint(); got != want {
+		t.Fatalf("fresh: gauge %d, footprint %d", got, want)
+	}
+	var empty bytes.Buffer
+	if err := e.WriteSegments(&empty); err != nil {
+		t.Fatal(err)
+	}
+	e0, err := ReopenEngine(Config{}, &empty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := gauge(e0), e0.IndexMemoryFootprint(); got != want {
+		t.Fatalf("reopened empty: gauge %d, footprint %d", got, want)
+	}
 	for batch := 0; batch < 4; batch++ {
 		var lines [][]byte
 		for i := 0; i < 400; i++ {

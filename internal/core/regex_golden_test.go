@@ -34,6 +34,10 @@ func regexGolden(t *testing.T) []byte {
 		if err := e.Flush(); err != nil {
 			t.Fatal(err)
 		}
+		// The simulated index-traversal rows model an index all on flash.
+		if err := e.Index().Flush(); err != nil {
+			t.Fatal(err)
+		}
 		rng := rand.New(rand.NewSource(0x5E6E ^ p.Seed))
 		vocab := goldenVocabulary(ds.Lines, rng)
 		word := func() string { return regexp.QuoteMeta(vocab[rng.Intn(len(vocab))]) }

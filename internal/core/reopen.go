@@ -77,9 +77,5 @@ func ReopenStore(cfg Config, st *storage.SegmentStore) (*Engine, error) {
 		e.rawBytes += uint64(len(raw))
 		e.lineCount += uint64(lines)
 	}
-	if err := e.ix.Flush(); err != nil {
-		return nil, err
-	}
-	e.met.indexMemoryBytes.Set(float64(e.ix.MemoryFootprint()))
 	return e, nil
 }

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
+	"mithrilog/internal/index"
 	"mithrilog/internal/loggen"
 	"mithrilog/internal/query"
 	"mithrilog/internal/storage"
@@ -145,6 +148,120 @@ func TestReopenSealStraddling(t *testing.T) {
 	}
 	e2 := reopened(t, e, cfg)
 	assertEnginesAnswerIdentically(t, e, e2)
+}
+
+// TestReopenRebuildsTheIngestIndex: a flush writes no index node, so
+// the index ingest builds depends only on the data pages, and a reopen
+// rebuilds it exactly, whatever the flush schedule. Each schedule's
+// engine and its reopened copy must agree on the index statistics, the
+// footprint and every token's lookup. A schedule that only repeats a
+// flush, or that seals by querying instead of flushing, writes the same
+// data pages as the schedule it varies, so it must also give that
+// schedule's answer: k flushes make the same root hops as one.
+func TestReopenRebuildsTheIngestIndex(t *testing.T) {
+	const batch = 777
+	flush := func(e *Engine, _ int) error { return e.Flush() }
+	schedules := []struct {
+		name string
+		// after runs after the batch that starts at line i.
+		after func(e *Engine, i int) error
+		// ends is the number of flushes where ingest ends.
+		ends int
+		// same names an earlier schedule that writes the same data pages.
+		same string
+	}{
+		{name: "end", ends: 1},
+		{name: "end x4", ends: 4, same: "end"},
+		{name: "every batch", after: flush, ends: 1},
+		{name: "every batch by query", after: func(e *Engine, _ int) error {
+			_, err := e.Search(query.MustParse(`nonexistent-token`), SearchOptions{})
+			return err
+		}, ends: 1, same: "every batch"},
+		{name: "mid-stream", after: func(e *Engine, i int) error {
+			if i == 2*batch {
+				return e.Flush()
+			}
+			return nil
+		}, ends: 1},
+	}
+	for _, p := range loggen.Profiles() {
+		ds := loggen.Generate(p, 3000, 0)
+		tokens := goldenVocabulary(ds.Lines, rand.New(rand.NewSource(p.Seed)))
+		answers := make(map[string]indexAnswer)
+		for _, sc := range schedules {
+			e := NewEngine(Config{})
+			for i := 0; i < len(ds.Lines); i += batch {
+				if err := e.Ingest(ds.Lines[i:min(i+batch, len(ds.Lines))]); err != nil {
+					t.Fatal(err)
+				}
+				if sc.after != nil {
+					if err := sc.after(e, i); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for range sc.ends {
+				if err := e.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			name := p.Name + " " + sc.name
+			got := indexAnswerOf(t, e, tokens)
+			requireSameIndexAnswer(t, name+": ingest vs reopen", got, indexAnswerOf(t, reopened(t, e, Config{}), tokens))
+			if sc.same != "" {
+				requireSameIndexAnswer(t, name+" vs "+sc.same, answers[sc.same], got)
+			}
+			answers[sc.name] = got
+		}
+	}
+}
+
+// indexAnswer is what an engine's index answers: its statistics, its
+// footprint, and one row per token lookup giving the candidate pages as
+// ordinals into the engine's data pages (their IDs depend on when the
+// index allocated its own pages), the root hops and the leaf reads.
+type indexAnswer struct {
+	stats     index.Stats
+	footprint int
+	lookups   []string
+}
+
+func indexAnswerOf(t *testing.T, e *Engine, tokens []string) indexAnswer {
+	t.Helper()
+	ordinal := make(map[storage.PageID]int, len(e.dataPages))
+	for i, id := range e.dataPages {
+		ordinal[id] = i
+	}
+	a := indexAnswer{stats: e.Index().Stats(), footprint: e.IndexMemoryFootprint()}
+	for _, tok := range tokens {
+		res, err := e.Index().Lookup(tok)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages := make([]int, 0, len(res.Pages))
+		for _, id := range res.Pages {
+			o, ok := ordinal[id]
+			if !ok {
+				t.Fatalf("lookup %q: page %d is not a data page", tok, id)
+			}
+			pages = append(pages, o)
+		}
+		slices.Sort(pages)
+		a.lookups = append(a.lookups, fmt.Sprintf("%s pages=%v roothops=%d leafreads=%d", tok, pages, res.RootHops, res.LeafReads))
+	}
+	return a
+}
+
+func requireSameIndexAnswer(t *testing.T, name string, want, got indexAnswer) {
+	t.Helper()
+	if want.stats != got.stats || want.footprint != got.footprint {
+		t.Fatalf("%s: index %+v footprint=%d, want %+v footprint=%d", name, got.stats, got.footprint, want.stats, want.footprint)
+	}
+	for i := range want.lookups {
+		if want.lookups[i] != got.lookups[i] {
+			t.Fatalf("%s: lookup\n  got  %s\n  want %s", name, got.lookups[i], want.lookups[i])
+		}
+	}
 }
 
 // TestReopenEmptyEngine round-trips an engine with nothing ingested.

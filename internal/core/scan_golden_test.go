@@ -86,6 +86,10 @@ func scanGolden(t *testing.T) []byte {
 			if err := e.Flush(); err != nil {
 				t.Fatal(err)
 			}
+			// The simulated index-traversal rows model an index all on flash.
+			if err := e.Index().Flush(); err != nil {
+				t.Fatal(err)
+			}
 			return e
 		}
 		plain := open(nil)

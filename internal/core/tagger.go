@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"mithrilog/internal/filter"
@@ -133,9 +134,11 @@ func (t *Tagger) Run(collectTags bool) (TagResult, error) {
 	if err := e.sealLocked(); err != nil {
 		return res, err
 	}
-	// matchedPerLine[i] counts templates matched by line i (line numbers
-	// are stable across passes: pages are visited in order).
-	var matchedPerLine []int
+	// once and twice hold one bit per line, set on the line's first and
+	// second template (line numbers are stable across passes: pages are
+	// visited in order).
+	words := (int(e.lineCount) + 63) / 64
+	once, twice := make([]uint64, words), make([]uint64, words)
 	var tags [][]int
 	// fired[tid] holds, for a split template, one bit per line it has
 	// already been counted on.
@@ -157,11 +160,8 @@ func (t *Tagger) Run(collectTags bool) (TagResult, error) {
 					return nil, nil, err
 				}
 				for _, mask := range masks {
-					if gi == 0 {
-						matchedPerLine = append(matchedPerLine, 0)
-						if collectTags {
-							tags = append(tags, nil)
-						}
+					if gi == 0 && collectTags {
+						tags = append(tags, nil)
 					}
 					if mask != 0 {
 						for _, m := range t.members[gi] {
@@ -169,7 +169,9 @@ func (t *Tagger) Run(collectTags bool) (TagResult, error) {
 								continue
 							}
 							res.Counts[m.tid]++
-							matchedPerLine[lineNo]++
+							if testAndSet(&once, lineNo) {
+								testAndSet(&twice, lineNo)
+							}
 							if collectTags {
 								tags[lineNo] = append(tags[lineNo], m.tid)
 							}
@@ -182,6 +184,9 @@ func (t *Tagger) Run(collectTags bool) (TagResult, error) {
 			if _, err := e.scanPages(nil, scan, pages, false, 0, scanStrategy{link: storage.Internal, workers: 1, eval: tagPage}); err != nil {
 				return err
 			}
+			if gi == 0 {
+				res.Lines = uint64(lineNo)
+			}
 			// Simulated pass time: stream all compressed pages at internal
 			// bandwidth, bounded below by the pipelines' cycle time (the one
 			// functional pipeline's work divides across the hardware's four).
@@ -193,15 +198,8 @@ func (t *Tagger) Run(collectTags bool) (TagResult, error) {
 	}); err != nil {
 		return res, err
 	}
-	res.Lines = uint64(len(matchedPerLine))
-	for _, n := range matchedPerLine {
-		switch {
-		case n == 0:
-			res.Untagged++
-		case n > 1:
-			res.MultiTagged++
-		}
-	}
+	res.Untagged = res.Lines - popCount(once)
+	res.MultiTagged = popCount(twice)
 	if collectTags {
 		res.Tags = tags
 	}
@@ -220,4 +218,13 @@ func testAndSet(bits *[]uint64, i int) bool {
 	was := *w&b != 0
 	*w |= b
 	return was
+}
+
+// popCount counts the set bits of set.
+func popCount(set []uint64) uint64 {
+	var n int
+	for _, w := range set {
+		n += bits.OnesCount64(w)
+	}
+	return uint64(n)
 }

@@ -287,7 +287,7 @@ func (ix *Index) push(bi int, page storage.PageID) error {
 // flushLeaf (root buffers) call it before every append, so there is one
 // growth and accounting path. Growing on demand, unlike §6.1's up-front
 // reservation, lets a bucket that holds a few pages cost a few entries;
-// nodes are still written only when full or at Flush (DESIGN.md).
+// nodes are still written only when full (DESIGN.md).
 func reserveBuffers[T storage.PageID | nodeRef](ix *Index, buf []T, start, full, entryBytes int) []T {
 	if len(buf) == cap(buf) {
 		n := full
@@ -425,7 +425,12 @@ func (ix *Index) pageBuf(buf []byte) []byte {
 
 // Flush forces all partial buffers into storage: every bucket's leaf and
 // root buffers become (possibly short) nodes, and open pages are written
-// out. The engine flushes before each time boundary and at end of ingest.
+// out. The engine never calls it, because a short node is what §6.1
+// avoids and Lookup reads partial buffers from memory. The paper
+// experiments model an index that lives entirely on flash, so
+// bench.BuildWorkload flushes its engine's index once where ingest ends,
+// and AblationIndexLayout flushes its standalone tree as it flushes the
+// lists it is compared with.
 func (ix *Index) Flush() error {
 	for i := range ix.buckets {
 		b := &ix.buckets[i]

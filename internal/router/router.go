@@ -342,7 +342,7 @@ func (r *Router) Ingest(tenant string, lines [][]byte) error {
 	return nil
 }
 
-// Flush flushes every shard (buffered lines become pages, indexes flush).
+// Flush flushes every shard (buffered lines become indexed data pages).
 func (r *Router) Flush() error {
 	if err := r.begin(); err != nil {
 		return err

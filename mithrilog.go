@@ -243,8 +243,8 @@ func (e *Engine) IngestReader(r io.Reader) error {
 	return e.router.Ingest("", batch)
 }
 
-// Flush forces buffered lines into storage pages and flushes the index
-// (on every shard, when sharded).
+// Flush forces buffered lines into storage pages and indexes them (on
+// every shard, when sharded). Index nodes stay in memory until they fill.
 func (e *Engine) Flush() error {
 	return e.router.Flush()
 }
